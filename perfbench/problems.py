@@ -573,22 +573,22 @@ def oracle_expected(depth: int, limit: int, seed: int):
     return terms, kept * kept
 
 
-def _oracle_problem(depth, limit, seed):
+def _oracle_problem(depth, limit, seed, index=0):
     terms, pairs = oracle_expected(depth, limit, seed)
     argv = ["oracle", "--json", "--depth", str(depth), "--seed", str(seed), "--limit", str(limit)]
 
     def check(result):
         code, out, err = result
         if code != 0:
-            return f"exit code {code}; stderr {err.strip()!r}"
+            return f"--seed {seed}: exit code {code}; stderr {err.strip()!r}"
         doc = json.loads(out)
         got = (doc["mismatch_count"], doc["terms"], doc["pairs"])
         if got != (0, terms, pairs):
-            return f"(mismatches, terms, pairs) = {got}, expected {(0, terms, pairs)}"
+            return f"--seed {seed}: (mismatches, terms, pairs) = {got}, expected {(0, terms, pairs)}"
         return None
 
     return Problem(
-        pid=f"oracle-d{depth}-l{limit}-s{seed}",
+        pid=f"oracle-d{depth}-l{limit}-{index}",
         family=f"depth{depth}",
         size=limit,
         nodes=terms + pairs,
@@ -608,8 +608,8 @@ def oracle_round(seed, rnd, env):
     # pair is a depth-3 pair and the median a depth-2 one, in every run.
     out = [_oracle_problem(3, 10_000, rng.randrange(1000))]
     for limit in ORACLE_LIMITS:
-        for _ in range(2):
-            out.append(_oracle_problem(2, limit, rng.randrange(1000)))
+        for index in range(2):
+            out.append(_oracle_problem(2, limit, rng.randrange(1000), index))
     return out
 
 

@@ -37,9 +37,11 @@ REQUIRED = (ROOT / "src" / "regunify" / "__init__.py", ROOT / "tests" / "oracles
 
 WORKLOADS = ("unify_large", "resolve_programs", "cli_small", "oracle_sweep")
 MIN_SAMPLES = 100  # problems, so the p90 has at least ten beyond it
-# A second oracle sweep at depth 3 raises the peak RSS once and for all, so
-# two rounds keep peak_rss_mb from depending on how fast the first round ran.
-MIN_ROUNDS = 2
+# Each problem class runs once per round and is timed as its median over the
+# rounds, so three rounds filter out a host slowdown that hits one of them.
+# (On oracle_sweep a second depth-3 sweep also raises the peak RSS once and
+# for all, so peak_rss_mb does not depend on how many rounds fit.)
+MIN_ROUNDS = 3
 SETUP_PROBES = 11  # fresh interpreters per run; the first one only warms caches
 
 # Points of the scaling curves that earlier one-off timings fixed on the same
@@ -201,18 +203,26 @@ def baseline_check(curve_table):
 
 
 def end_to_end(measured: Pass, setup_s):
-    # A call that answers `work` problems (an oracle sweep answers one per
-    # pair) gives each of them its wall time divided by `work`.
+    # A problem's time is the median, over the rounds, of its class (same
+    # pid, fresh contents each round).  A call that answers `work` problems
+    # (an oracle sweep answers one per pair) gives each its time / `work`.
+    by_class = {}
+    for s in measured.samples:
+        if s.error is None:
+            by_class.setdefault(s.pid, []).append(s.seconds)
+    class_s = {pid: statistics.median(ts) for pid, ts in by_class.items()}
     latency = []
     points = []
     correct_work, busy = 0, 0.0
     for s in measured.samples:
-        busy += s.seconds
         if s.error is None:
+            t = class_s[s.pid]
+            busy += t
             correct_work += s.work
-            latency.append((1000.0 * s.seconds / s.work, s.work))
-            points.append((s.nodes, s.seconds))
+            latency.append((1000.0 * t / s.work, s.work))
+            points.append((s.nodes, t))
         else:
+            busy += s.seconds
             latency.append((math.inf, s.work))  # a failed problem ranks as slowest
     return {
         "setup_s": setup_s,

@@ -40,6 +40,13 @@ class GeneratorsAreDeterministic(unittest.TestCase):
                 self.assertEqual(first, _fingerprint(make_round(7, 1, env)))
                 self.assertNotEqual(first, _fingerprint(make_round(8, 1, env)))
 
+    def test_problem_ids_name_one_class_each_per_round(self):
+        for workload, make_round in problems.ROUNDS.items():
+            env = _env(workload)
+            pids = [[p.pid for p in make_round(s, r, env)] for s, r in ((1, 1), (2, 3))]
+            self.assertEqual(len(set(pids[0])), len(pids[0]), workload)
+            self.assertEqual(pids[0], pids[1], workload)
+
     def test_seed_does_not_change_sizes(self):
         for workload, make_round in problems.ROUNDS.items():
             env = _env(workload)
