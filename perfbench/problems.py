@@ -16,13 +16,14 @@ same.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 from oracles import resolve_term, unify_terms
@@ -39,17 +40,19 @@ from regunify import (
     typed_unify,
 )
 from regunify.cli import main as cli_main
-from regunify.syntax import NIL, Base, Compound, Const, SymApp, Var
+from regunify.syntax import NIL, Base, Compound, Const, SymApp, TVar, Var
 
-DATA = Path(__file__).resolve().parent / "data"
-GRAPH_FILE = DATA / "graph.pl"
-SMALL_FILE = DATA / "small.pl"
-
-WIDE_SIZES = (10, 25, 50, 100, 150, 200)
-DEEP_SIZES = (5, 10, 20, 30, 45, 60)
-CHAIN_SIZES = (4, 6, 8, 10, 11, 12)
+# A class is timed by its fastest round, and on a shared host a fast spell
+# that covers a whole problem is rarer the longer the problem runs.  So the
+# ladders stop where one problem takes a few tenths of a second, and a run
+# holds about ten rounds.
+WIDE_SIZES = (10, 25, 50, 100)
+DEEP_SIZES = (5, 10, 20, 30, 45)
+CHAIN_SIZES = (4, 6, 8, 10, 12)
 VARIANTS = ("solved", "false", "wrong")
-APP_SIZES = (5, 10, 20, 30, 40, 50)
+# A round costs about as much as its largest app queries, and a class is
+# timed by its fastest round, so few large sizes leave room for more rounds.
+APP_SIZES = (5, 10, 20, 50)
 ORACLE_LIMITS = (1600, 2025, 2500, 3025, 3600, 4225)
 
 INT = Base("int")
@@ -134,24 +137,28 @@ def _wide(n, variant, rng):
         left[k] = integer(vals[k] + 1 + rng.randrange(5))
     elif variant == "wrong":
         right[k] = atom(f"a{rng.randrange(100)}")
-    return mk_list(left), mk_list(right), {x: integer(v) for x, v in zip(names, vals)}
+    bindings = {x: integer(v) for x, v in zip(names, vals)}
+    types_ok = functools.partial(operator.eq, {x: INT for x in names})
+    return mk_list(left), mk_list(right), bindings, types_ok, (left[k], right[k])
 
 
 def _deep(n, variant, rng):
     x = Var(rng.choice("XYZVW"))
     c = rng.randrange(1000)
     if variant == "solved":
-        return nest("f", n, x), nest("f", n, integer(c)), {x.name: integer(c)}
+        types_ok = functools.partial(operator.eq, {x.name: INT})
+        return nest("f", n, x), nest("f", n, integer(c)), {x.name: integer(c)}, types_ok, None
     other = integer(c + 1 + rng.randrange(5)) if variant == "false" else atom(f"a{c}")
     left = Compound("g", (x, nest("f", n, integer(c))))
     right = Compound("g", (integer(rng.randrange(1000)), nest("f", n, other)))
-    return left, right, None
+    return left, right, None, None, (integer(c), other)
 
 
 def _chain(n, variant, rng):
     prefix = rng.choice("XYZVW")
     xs = [Var(f"{prefix}{i}") for i in range(n + 1)]
     links = [Compound("g", (xs[i], xs[i])) for i in range(n)]
+    clash = None
     if variant == "solved":
         left, right = Compound("f", tuple(xs[1:])), Compound("f", tuple(links))
     else:
@@ -159,23 +166,50 @@ def _chain(n, variant, rng):
         last = integer(c + 1) if variant == "false" else atom(f"a{c}")
         left = Compound("f", (*xs[1:], xs[0], xs[0]))
         right = Compound("f", (*links, integer(c), last))
+        clash = (integer(c), last)  # X0 is bound to c before it meets `last`
     expected = {}
     tree = xs[0]
     for x in xs[1:]:
         tree = Compound("g", (tree, tree))
         expected[x.name] = tree
-    return left, right, expected
+    return left, right, expected, functools.partial(_chain_types_ok, [x.name for x in xs]), clash
+
+
+def _chain_types_ok(names, got):
+    """Solved types of a chain: X0 has a type variable, and each Xi has the
+    type of g(X(i-1), X(i-1)), one type symbol applied to two copies of the
+    type before it.  The variable and the symbol are named by the package,
+    so they are read from the answer and then held to this shape.
+    """
+    if set(got) != set(names) or not isinstance(got[names[0]], TVar):
+        return False
+    symbol = getattr(got[names[1]], "symbol", None)
+    return all(got[x] == SymApp(symbol, (got[prev], got[prev])) for prev, x in zip(names, names[1:]))
 
 
 SHAPES = {"wide": (_wide, WIDE_SIZES), "deep": (_deep, DEEP_SIZES), "chain": (_chain, CHAIN_SIZES)}
+# The largest size of each shape comes in the solved variant only.  Its
+# false and wrong variants would cost as much again and so halve the rounds
+# a run holds; the smaller sizes show the same verdicts.
+SOLVED_ONLY = {(shape, sizes[-1]) for shape, (_gen, sizes) in SHAPES.items()}
+
+
+def _same_pair(got, pair):
+    """The witness, a constraint between the clashing pair, in either order:
+    the order is the solver's choice, not part of the answer.
+    """
+    return got is not None and {(got.lhs, got.rhs), (got.rhs, got.lhs)} == {pair, pair[::-1]}
 
 
 def unify_problem(shape, n, variant, rng, defs):
     """A unification whose verdict the variant fixes.  The shape generator
-    returns the solved variant's bindings, which must agree with the untyped
-    reference unifier.
+    also returns the solved variant's bindings, a test of its variable
+    types, and the pair of terms that clash in the false and wrong variants;
+    the bindings must agree with the untyped reference unifier.
     """
-    left, right, bindings = SHAPES[shape][0](n, variant, rng)
+    left, right, bindings, types_ok, clash = SHAPES[shape][0](n, variant, rng)
+    # A wrong variant clashes on the types of the pair: int against atom.
+    witness = (INT, ATOM) if variant == "wrong" else clash
     oracle = unify_terms([(left, right)])
     if variant == "solved":
         got = {x: resolve_term(Var(x), oracle) for x in bindings} if oracle is not None else None
@@ -188,8 +222,13 @@ def unify_problem(shape, n, variant, rng, defs):
     def check(run):
         if not isinstance(run.result, want):
             return f"verdict {type(run.result).__name__}, expected {want.__name__}"
-        if variant == "solved" and run.result.subst != bindings:
-            return "solved bindings differ from the generated ones"
+        if variant == "solved":
+            if run.result.subst != bindings:
+                return "solved bindings differ from the generated ones"
+            if not types_ok(run.var_types):
+                return "variable types differ from the generated ones"
+        elif not _same_pair(run.result.witness, witness):
+            return f"witness {run.result.witness!r}, expected a constraint between {witness!r}"
         return None
 
     return Problem(
@@ -211,6 +250,7 @@ def unify_large_round(seed, rnd, env):
         for shape, (_gen, sizes) in SHAPES.items()
         for n in sizes
         for variant in VARIANTS
+        if variant == "solved" or (shape, n) not in SOLVED_ONLY
     ]
 
 
@@ -573,7 +613,7 @@ def oracle_expected(depth: int, limit: int, seed: int):
     return terms, kept * kept
 
 
-def _oracle_problem(depth, limit, seed, index=0):
+def _oracle_problem(depth, limit, seed):
     terms, pairs = oracle_expected(depth, limit, seed)
     argv = ["oracle", "--json", "--depth", str(depth), "--seed", str(seed), "--limit", str(limit)]
 
@@ -588,7 +628,7 @@ def _oracle_problem(depth, limit, seed, index=0):
         return None
 
     return Problem(
-        pid=f"oracle-d{depth}-l{limit}-{index}",
+        pid=f"oracle-d{depth}-l{limit}",
         family=f"depth{depth}",
         size=limit,
         nodes=terms + pairs,
@@ -606,11 +646,14 @@ def oracle_round(seed, rnd, env):
     # one full depth-3 sweep per round: 365k terms enumerated to keep 10k
     # pairs.  Its pairs are about a quarter of the round's, so the p90 per
     # pair is a depth-3 pair and the median a depth-2 one, in every run.
-    out = [_oracle_problem(3, 10_000, rng.randrange(1000))]
-    for limit in ORACLE_LIMITS:
-        for index in range(2):
-            out.append(_oracle_problem(2, limit, rng.randrange(1000), index))
-    return out
+    # Each depth-2 class runs on both sides of it, so its two runs in a
+    # round lie seconds apart and the round gives it two chances.
+    def depth2():
+        return [_oracle_problem(2, limit, rng.randrange(1000)) for limit in ORACLE_LIMITS]
+
+    out = depth2()
+    out.append(_oracle_problem(3, 10_000, rng.randrange(1000)))
+    return out + depth2()
 
 
 ROUNDS = {

@@ -37,17 +37,19 @@ REQUIRED = (ROOT / "src" / "regunify" / "__init__.py", ROOT / "tests" / "oracles
 
 WORKLOADS = ("unify_large", "resolve_programs", "cli_small", "oracle_sweep")
 MIN_SAMPLES = 100  # problems, so the p90 has at least ten beyond it
-# Each problem class runs once per round and is timed as its median over the
-# rounds, so three rounds filter out a host slowdown that hits one of them.
-# (On oracle_sweep a second depth-3 sweep also raises the peak RSS once and
-# for all, so peak_rss_mb does not depend on how many rounds fit.)
+# Each problem class runs once per round and is timed by its fastest round:
+# on a shared host a slowdown only ever adds time, and spells of it last
+# seconds, so the fastest of rounds that lie seconds apart is the figure
+# that repeats.  (On oracle_sweep a second depth-3 sweep also raises the
+# peak RSS once and for all, so peak_rss_mb does not depend on how many
+# rounds fit.)
 MIN_ROUNDS = 3
 SETUP_PROBES = 11  # fresh interpreters per run; the first one only warms caches
 
 # Points of the scaling curves that earlier one-off timings fixed on the same
 # hardware class.  A ratio beyond 2x at the commit that added this benchmark
 # meant a harness bug.
-BASELINE_S = {("wide-solved", 200): 0.78, ("chain-solved", 12): 0.39, ("app", 50): 0.94}
+BASELINE_S = {("wide-solved", 100): 0.204, ("chain-solved", 12): 0.39, ("app", 50): 0.94}
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -116,11 +118,12 @@ def _solve_one(problem):
 
 def run_pass(
     make_round, seed, env, seconds=None, rounds=None, tracer=None,
-    min_samples=MIN_SAMPLES, min_rounds=MIN_ROUNDS,
+    min_samples=MIN_SAMPLES, min_rounds=MIN_ROUNDS, between=None,
 ):
     """Run rounds until `rounds` are done or, without it, until `seconds`
     have passed and at least `min_rounds` rounds and `min_samples` problems
     ran.  Rounds are whole, so every run sees the same mix of sizes.
+    `between` is called after each problem, outside its timing.
     """
     result = Pass()
     start = time.perf_counter()
@@ -134,6 +137,8 @@ def run_pass(
         if tracer is None:
             for p in make_round(seed, result.rounds, env):
                 result.samples.append(Sample(p, *_solve_one(p)))
+                if between is not None:
+                    between()
         else:
             tracer.problem = None
             with tracer.span("bench", "bench", "generate"):
@@ -202,15 +207,20 @@ def baseline_check(curve_table):
     return out
 
 
-def end_to_end(measured: Pass, setup_s):
-    # A problem's time is the median, over the rounds, of its class (same
-    # pid, fresh contents each round).  A call that answers `work` problems
-    # (an oracle sweep answers one per pair) gives each its time / `work`.
+def class_seconds(samples):
+    """Seconds of each correct run of each problem class, in order."""
     by_class = {}
-    for s in measured.samples:
+    for s in samples:
         if s.error is None:
             by_class.setdefault(s.pid, []).append(s.seconds)
-    class_s = {pid: statistics.median(ts) for pid, ts in by_class.items()}
+    return by_class
+
+
+def end_to_end(measured: Pass, setup_s):
+    # A problem's time is the fastest, over the rounds, of its class (same
+    # pid, fresh contents each round).  A call that answers `work` problems
+    # (an oracle sweep answers one per pair) gives each its time / `work`.
+    class_s = {pid: min(ts) for pid, ts in class_seconds(measured.samples).items()}
     latency = []
     points = []
     correct_work, busy = 0, 0.0
@@ -234,18 +244,33 @@ def end_to_end(measured: Pass, setup_s):
     }
 
 
-def measure_setup(workload):
-    probe = str(HERE / "setup_probe.py")
-    times = []
-    for _ in range(SETUP_PROBES):
-        proc = subprocess.run(
-            [sys.executable, probe, workload],
-            capture_output=True, text=True, timeout=120, cwd=str(ROOT),
-        )
+class SetupProbes:
+    """Times the workload's set-up in fresh interpreters, spread evenly over
+    the measured run, so that their median sees the same spells of host
+    slowness as the problems do.  The first probe only warms caches.
+    """
+
+    def __init__(self, workload, seconds):
+        self.argv = [sys.executable, str(HERE / "setup_probe.py"), workload]
+        self.every = seconds / (SETUP_PROBES - 1)
+        self.times = []
+        self.start = time.perf_counter()
+
+    def probe(self):
+        proc = subprocess.run(self.argv, capture_output=True, text=True, timeout=120, cwd=str(ROOT))
         if proc.returncode != 0:
             _fail(f"set-up probe failed: {proc.stderr.strip()}")
-        times.append(float(proc.stdout.strip().splitlines()[-1]))
-    return statistics.median(times[1:]), times
+        self.times.append(float(proc.stdout.strip().splitlines()[-1]))
+
+    def when_due(self):
+        due = len(self.times) < SETUP_PROBES
+        if due and time.perf_counter() - self.start >= (len(self.times) - 1) * self.every:
+            self.probe()
+
+    def median(self):
+        while len(self.times) < SETUP_PROBES:
+            self.probe()
+        return statistics.median(self.times[1:])
 
 
 # --- per-layer metrics --------------------------------------------------------------
@@ -316,24 +341,16 @@ def layer_unit(name):
 
 
 def commit_hash():
-    """HEAD of the checkout, read without running git; 'unknown' outside a
-    git work tree.
-    """
-    git = ROOT / ".git"
+    """HEAD of the checkout; 'unknown' outside a git work tree."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_file = git / ref
-        if ref_file.exists():
-            return ref_file.read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=30, cwd=str(ROOT),
+            # stop at the checkout, so a repository around it is not reported
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)},
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 # --- main ---------------------------------------------------------------------------
@@ -347,10 +364,6 @@ def main(argv=None) -> int:
     if args.seconds <= 0:
         _fail("--seconds must be positive")
     load_before = os.getloadavg()
-
-    setup_s, setup_samples = (None, [])
-    if not args.trace:
-        setup_s, setup_samples = measure_setup(args.workload)
 
     import setup_probe
 
@@ -372,11 +385,14 @@ def main(argv=None) -> int:
         "loadavg_before": load_before,
     }
     if not args.trace:
-        measured = run_pass(make_round, args.seed, env, seconds=args.seconds)
-        metrics = end_to_end(measured, setup_s)
+        probes = SetupProbes(args.workload, args.seconds)
+        probes.probe()
+        measured = run_pass(make_round, args.seed, env, seconds=args.seconds, between=probes.when_due)
+        metrics = end_to_end(measured, probes.median())
         units = END_TO_END_UNITS
         passes = [measured]
-        doc["setup_samples_s"] = setup_samples
+        doc["class_seconds"] = class_seconds(measured.samples)
+        doc["setup_samples_s"] = probes.times
         doc["curves_median_s"] = curves(measured.samples)
         doc["baseline_check"] = baseline_check(doc["curves_median_s"])
     else:

@@ -40,11 +40,10 @@ class GeneratorsAreDeterministic(unittest.TestCase):
                 self.assertEqual(first, _fingerprint(make_round(7, 1, env)))
                 self.assertNotEqual(first, _fingerprint(make_round(8, 1, env)))
 
-    def test_problem_ids_name_one_class_each_per_round(self):
+    def test_every_round_runs_the_same_classes(self):
         for workload, make_round in problems.ROUNDS.items():
             env = _env(workload)
             pids = [[p.pid for p in make_round(s, r, env)] for s, r in ((1, 1), (2, 3))]
-            self.assertEqual(len(set(pids[0])), len(pids[0]), workload)
             self.assertEqual(pids[0], pids[1], workload)
 
     def test_seed_does_not_change_sizes(self):
@@ -68,13 +67,40 @@ class VerdictsAsPromised(unittest.TestCase):
                 for variant in problems.VARIANTS:
                     self._assert_right(problems.unify_problem(shape, n, variant, rng, defs))
 
+    def test_wrong_witness_or_types_are_caught(self):
+        import dataclasses
+        import random
+
+        from regunify.constraints import TermConstraint, TypeConstraint
+        from regunify.syntax import Base, Const
+
+        defs = _env("unify_large")["defs"]
+        rng = random.Random(4)
+        for shape in problems.SHAPES:
+            for variant in ("false", "wrong"):
+                p = problems.unify_problem(shape, 4, variant, rng, defs)
+                run = p.call()
+                other = (
+                    TermConstraint(Const(1, "int"), Const(2, "int"))
+                    if variant == "false"
+                    else TypeConstraint(Base("int"), Base("float"))
+                )
+                bad = dataclasses.replace(run, result=dataclasses.replace(run.result, witness=other))
+                self.assertIsNotNone(p.check(bad), p.pid)
+            p = problems.unify_problem(shape, 4, "solved", rng, defs)
+            run = p.call()
+            types = dict(run.var_types)
+            types[next(iter(types))] = Base("atom")
+            bad = dataclasses.replace(run, context=dict(types))
+            self.assertIsNotNone(p.check(bad), p.pid)
+
     def test_cli_round(self):
         for p in problems.cli_round(5, 0, _env("cli_small")):
             self._assert_right(p)
 
     def test_resolve_round_without_the_largest_app(self):
         for p in problems.resolve_round(5, 0, _env("resolve_programs")):
-            if p.pid not in ("app-40", "app-50"):
+            if p.pid != "app-50":
                 self._assert_right(p)
 
     def test_oracle_counts(self):
@@ -117,9 +143,21 @@ class TracerRestoresBindings(unittest.TestCase):
         for layer in ("resolution", "solver", "constraints", "typedefs"):
             self.assertGreater(rec.layer_calls(layer), 0, layer)
         self.assertGreater(rec.self_s[("resolution", "rename")], 0)
+        self.assertGreater(rec.self_s[("resolution", "subst")], 0)
         total = sum(rec.self_s.values())
         outer = max(end - start for _i, parent, *_rest, start, end, _p in rec.spans if parent is None)
         self.assertAlmostEqual(total, outer, delta=1e-6 * max(1.0, outer))
+
+    def test_substitution_inside_renaming_counts_as_renaming(self):
+        rec = tracer.Tracer()
+        with rec.span("resolution", "rename", "rename_clause"):
+            with rec.span("resolution", "subst", "apply_subst"):
+                with rec.span("resolution", "subst", "_compose"):
+                    pass
+        with rec.span("resolution", "subst", "apply_subst"):
+            pass
+        self.assertEqual(rec.calls[("resolution", "rename")], 3)
+        self.assertEqual(rec.calls[("resolution", "subst")], 1)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ AGGREGATED = {
 }  # generators, such as enumerate_ground_terms, are aggregated per step too
 
 # Sub-parts of a layer.  Their time is part of the layer's self time as well.
+# Substitution that `rename_clause` does is charged to renaming (see _open).
 PARTS = {
     ("resolution", "rename_clause"): "rename",
     ("resolution", "apply_subst"): "subst",
@@ -115,21 +116,24 @@ class Tracer:
         self.spans = []  # (id, parent id, layer, name, start, end, problem id)
         self.dropped = 0
         self.problem = None
-        self._stack = [[0.0, None]]  # [child seconds, span id]; the root frame
+        self._stack = [[0.0, None, None]]  # [child seconds, span id, part]; the root frame
         self._next_id = 0
         self._saved = []
 
     # --- recording -------------------------------------------------------------
 
-    def _open(self):
+    def _open(self, part):
+        if part == "subst" and self._stack[-1][2] == "rename":
+            part = "rename"  # renaming applies a substitution too
         self._next_id += 1
-        frame = [0.0, self._next_id]
+        frame = [0.0, self._next_id, part]
         self._stack.append(frame)
         return frame
 
-    def _close(self, frame, layer, part, name, start, end, store):
+    def _close(self, frame, layer, name, start, end, store):
         self._stack.pop()
         parent = self._stack[-1]
+        part = frame[2]
         d = end - start
         parent[0] += d
         own = d - frame[0]
@@ -161,12 +165,12 @@ class Tracer:
             return gen_wrapper
 
         def wrapper(*args, **kwargs):
-            frame = tracer._open()
+            frame = tracer._open(part)
             start = clock()
             try:
                 return fn(*args, **kwargs)
             finally:
-                tracer._close(frame, layer, part, name, start, clock(), store)
+                tracer._close(frame, layer, name, start, clock(), store)
 
         return wrapper
 
@@ -199,13 +203,13 @@ class _Span:
         self.tracer, self.layer, self.part, self.name = tracer, layer, part, name
 
     def __enter__(self):
-        self.frame = self.tracer._open()
+        self.frame = self.tracer._open(self.part)
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
         self.tracer._close(
-            self.frame, self.layer, self.part, self.name, self.start, time.perf_counter(), True
+            self.frame, self.layer, self.name, self.start, time.perf_counter(), True
         )
         return False
 
@@ -221,13 +225,13 @@ class _TimedIter:
         return self
 
     def __next__(self):
-        frame = self.tracer._open()
+        frame = self.tracer._open(self.part)
         start = time.perf_counter()
         try:
             return next(self.it)
         finally:
             self.tracer._close(
-                frame, self.layer, self.part, self.name, start, time.perf_counter(), False
+                frame, self.layer, self.name, start, time.perf_counter(), False
             )
 
 
