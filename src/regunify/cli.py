@@ -569,6 +569,9 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as e:  # last resort, so that exit 1 only ever means false
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     if getattr(args, "json", False):
         print(json.dumps(doc, indent=2))
     else:

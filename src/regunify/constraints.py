@@ -31,8 +31,7 @@ from .syntax import (
     TypeExpr,
     Var,
     free_vars,
-    term_size,
-    type_size,
+    tree_counts,
 )
 from .typedefs import SignatureEnv, instantiate
 
@@ -57,9 +56,10 @@ class ConstraintState:
     types: tuple[TypeConstraint, ...]
 
     def size(self) -> int:
-        return sum(term_size(c.lhs) + term_size(c.rhs) for c in self.terms) + sum(
-            type_size(c.lhs) + type_size(c.rhs) for c in self.types
-        )
+        """Node count of both sets, as trees: a shared subterm counts once
+        per occurrence, though it is visited once.
+        """
+        return tree_counts([side for c in (*self.terms, *self.types) for side in (c.lhs, c.rhs)])[1]
 
 
 class FreshSupply:

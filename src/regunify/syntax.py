@@ -248,8 +248,21 @@ def free_vars(term: Term) -> list[str]:
     return list(seen)
 
 
-def occurs_in(name: str, term: Term) -> bool:
-    return any(v == name for v in term_vars(term))
+def occurs_in(name: str, node: Union[Term, TypeExpr]) -> bool:
+    """Whether a variable called `name` occurs in a term or type expression.
+    Iterative, and a subterm shared by several parents is searched once.
+    """
+    stack, seen = [node], set()
+    while stack:
+        node = stack.pop()
+        args = getattr(node, "args", None)
+        if args:
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(args)
+        elif isinstance(node, (Var, TVar)) and node.name == name:
+            return True
+    return False
 
 
 def type_vars(ty: Union[TypeExpr, FuncType]) -> Iterator[str]:
@@ -271,15 +284,65 @@ def free_type_vars(ty: Union[TypeExpr, FuncType]) -> list[str]:
     return list(seen)
 
 
-def type_occurs_in(name: str, ty: TypeExpr) -> bool:
-    return any(v == name for v in type_vars(ty))
+type_occurs_in = occurs_in
 
 
-def term_size(term: Term) -> int:
-    """Node count; used for rewrite budgets."""
-    if isinstance(term, Compound):
-        return 1 + sum(term_size(a) for a in term.args)
-    return 1
+def tree_counts(roots) -> tuple[dict[str, int], int]:
+    """Occurrences of each variable name, and the number of nodes, in the
+    trees that the terms or type expressions `roots` denote.
+
+    A subterm shared by several parents counts once per path that reaches
+    it, as if the trees were copied out, but it is visited only once.  The
+    first pass counts the edges into each distinct compound node; where no
+    node has two, the roots are trees and that pass has counted everything.
+    Otherwise a second pass hands each node the number of paths into it
+    once all its parents are done, so the cost stays linear in distinct
+    nodes even where the trees are exponentially larger.
+    """
+    counts: dict[str, int] = {}
+    edges: dict[int, int] = {}
+    size = 0
+    shared = False
+    stack = [roots]
+    while stack:
+        for node in stack.pop():
+            size += 1
+            if getattr(node, "args", None):
+                key = id(node)
+                if key in edges:
+                    edges[key] += 1
+                    shared = True
+                else:
+                    edges[key] = 1
+                    stack.append(node.args)
+            elif isinstance(node, (Var, TVar)):
+                counts[node.name] = counts.get(node.name, 0) + 1
+    if not shared:
+        return counts, size
+    counts, size = {}, 0
+    paths: dict[int, int] = {}
+    ready = [(roots, 1)]
+    while ready:
+        args, weight = ready.pop()
+        size += len(args) * weight
+        for node in args:
+            if getattr(node, "args", None):
+                key = id(node)
+                paths[key] = paths.get(key, 0) + weight
+                edges[key] -= 1
+                if not edges[key]:
+                    ready.append((node.args, paths[key]))
+            elif isinstance(node, (Var, TVar)):
+                counts[node.name] = counts.get(node.name, 0) + weight
+    return counts, size
+
+
+def term_size(node: Union[Term, TypeExpr]) -> int:
+    """Node count of the tree a term or type expression denotes."""
+    return tree_counts((node,))[1]
+
+
+type_size = term_size
 
 
 def term_depth(term: Term) -> int:
@@ -288,8 +351,3 @@ def term_depth(term: Term) -> int:
         return 1 + max(term_depth(a) for a in term.args)
     return 0
 
-
-def type_size(ty: TypeExpr) -> int:
-    if isinstance(ty, (SymApp, CtorApp)):
-        return 1 + sum(type_size(a) for a in ty.args)
-    return 1

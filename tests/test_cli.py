@@ -278,6 +278,18 @@ def test_usage_errors(capsys):
     assert cli(capsys)[0] == 64
 
 
+def test_oversized_inputs_never_exit_false(capsys):
+    # whatever such inputs do, exit 1 is kept for false and no traceback leaks
+    long_list = "[" + ", ".join(str(i) for i in range(1500)) + "]"
+    deep_term = "f(" * 1200 + "a" + ")" * 1200
+    for argv in (["unify", long_list, "X"], ["unify", deep_term, "X"], ["infer", deep_term]):
+        code, _, err = cli(capsys, *argv)
+        assert code in (0, 70)
+        assert "Traceback" not in err
+        if code == 70:
+            assert re.fullmatch(r"internal error: \w+: .*\n", err)
+
+
 def test_repl_session(capsys, monkeypatch):
     script = "p(0).\n?- p(X).\nX = 1.\ncons(1, 2) = Y.\nquit.\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(script))

@@ -234,3 +234,34 @@ def test_solutions_idempotent_and_budgeted(lhs, rhs):
         mu = run.result.type_subst
         for c in run.initial.types:
             assert apply_type_subst(mu, c.lhs) == apply_type_subst(mu, c.rhs)
+
+
+# --- shared structure ---------------------------------------------------------------
+
+
+def test_chain_result_shares_subterms():
+    # f(X1..Xn) = f(g(X0,X0), ..., g(Xn-1,Xn-1)) binds Xn to a tree of
+    # 2**(n+1) - 1 nodes; the unifier holds it as O(n) objects
+    n = 40
+    xs = [Var(f"X{i}") for i in range(n + 1)]
+    links = tuple(Compound("g", (xs[i], xs[i])) for i in range(n))
+    run = typed_unify(Compound("f", tuple(xs[1:])), Compound("f", links), DEFS)
+    assert isinstance(run.result, Solved)
+
+    objects = {}
+    stack = list(run.result.subst.values())
+    while stack:
+        t = stack.pop()
+        if id(t) not in objects:
+            objects[id(t)] = t
+            stack.extend(getattr(t, "args", ()))
+    assert len(objects) <= 20 * n
+
+    sizes = {}
+
+    def tree_size(t):
+        if id(t) not in sizes:
+            sizes[id(t)] = 1 + sum(tree_size(a) for a in getattr(t, "args", ()))
+        return sizes[id(t)]
+
+    assert tree_size(run.result.subst[f"X{n}"]) == 2 ** (n + 1) - 1

@@ -1,0 +1,218 @@
+"""The incremental solver against the rescanning reference engine.
+
+Both must agree on everything the rules define: the step count, the rule,
+target and state of every step, and the result with its witness and both
+unifiers, down to the order of their entries.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regunify import (
+    NIL,
+    Base,
+    Compound,
+    ConstraintState,
+    Solved,
+    SolveFalse,
+    SymApp,
+    TVar,
+    TermConstraint,
+    TypeConstraint,
+    Var,
+    derive_signatures,
+    enumerate_ground_terms,
+    gen_equation,
+    mk_atom,
+    mk_int,
+    mk_list,
+    solve,
+    stratified_pairs,
+    validate,
+)
+from regunify.constraints import FreshSupply, generic_context
+from regunify.semantics import LiteralPool
+
+from reference_solver import reference_solve
+
+DEFS = validate(())
+SIG = derive_signatures(DEFS)
+
+
+def assert_same(state, trace=True):
+    run = solve(state, trace=trace)
+    ref = reference_solve(state, trace=trace)
+    assert run.steps == ref.steps
+    assert [(s.rule, s.target, s.state) for s in run.trace] == list(ref.trace)
+    result = run.result
+    if isinstance(result, Solved):
+        assert ref.verdict == "solved"
+        assert list(result.subst.items()) == list(ref.subst.items())
+        assert list(result.type_subst.items()) == list(ref.type_subst.items())
+    elif isinstance(result, SolveFalse):
+        assert ref.verdict == "false"
+        assert result.witness == ref.witness
+        assert list(result.type_subst.items()) == list(ref.type_subst.items())
+    else:
+        assert ref.verdict == "wrong"
+        assert result.witness == ref.witness
+    return ref.verdict
+
+
+def equation_state(lhs, rhs, sig=SIG):
+    fresh = FreshSupply()
+    return gen_equation(generic_context([lhs, rhs], fresh), sig, lhs, rhs, fresh)
+
+
+# --- hypothesis-generated inputs ------------------------------------------------------
+
+_leaf = st.one_of(
+    st.integers(0, 2).map(mk_int),
+    st.sampled_from(["a", "b"]).map(mk_atom),
+    st.just(NIL),
+    st.sampled_from(["X", "Y", "Z", "U"]).map(Var),
+)
+_terms = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: Compound("cons", p)),
+        st.tuples(inner).map(lambda p: Compound("f", p)),
+        st.tuples(inner, inner).map(lambda p: Compound("g", p)),
+        st.tuples(inner, inner, inner).map(lambda p: Compound("h", p)),
+    ),
+    max_leaves=10,
+)
+_types = st.recursive(
+    st.one_of(st.sampled_from(["A", "B", "C", "D"]).map(TVar), st.just(Base("int"))),
+    lambda inner: st.one_of(
+        st.tuples(inner).map(lambda p: SymApp("list", p)),
+        st.tuples(inner, inner).map(lambda p: SymApp("pair", p)),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, _terms)
+def test_equations_match_reference(lhs, rhs):
+    assert_same(equation_state(lhs, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_types, _types), max_size=6),
+    st.lists(st.tuples(_terms, _terms), max_size=4),
+)
+def test_hand_built_states_match_reference(type_pairs, term_pairs):
+    # states no equation generates: many constraints on few variables, so
+    # eliminate, re-queued eliminate candidates and occurs all come up
+    state = ConstraintState(
+        terms=tuple(TermConstraint(a, b) for a, b in term_pairs),
+        types=tuple(TypeConstraint(a, b) for a, b in type_pairs),
+    )
+    assert_same(state)
+
+
+def _types(*pairs):
+    return ConstraintState(terms=(), types=tuple(TypeConstraint(a, b) for a, b in pairs))
+
+
+def _terms(*pairs):
+    return ConstraintState(terms=tuple(TermConstraint(a, b) for a, b in pairs), types=())
+
+
+A, B, C = TVar("A"), TVar("B"), TVar("C")
+X, Y = Var("X"), Var("Y")
+INT = Base("int")
+
+
+def test_hand_picked_states_match_reference():
+    # corners of the bookkeeping that random states reach only rarely
+    states = [
+        # a delete before eliminate first comes up, so before counting starts
+        _types((A, A), (A, INT)),
+        _terms((X, X), (X, mk_int(1))),
+        # eliminating A makes B's binder cyclic without touching its left side
+        _types((A, SymApp("list", (B,))), (B, SymApp("pair", (A, INT)))),
+        _terms((X, Compound("f", (Y,))), (Y, Compound("g", (X, X)))),
+        # two binders of one variable: the second becomes a clash
+        _terms((X, mk_int(1)), (X, mk_int(2))),
+        # renaming chain: each eliminate renames into a growing class
+        _types((A, B), (B, C), (C, A), (SymApp("list", (A,)), SymApp("list", (INT,)))),
+    ]
+    verdicts = [assert_same(state) for state in states]
+    assert verdicts == ["solved", "solved", "wrong", "false", "false", "solved"]
+
+
+# --- the criterion-07 corpus ------------------------------------------------------------
+
+
+def test_ground_corpus_matches_reference():
+    # every pair compares steps and results; every tenth also its trace
+    sig = SIG.with_function("f", 1)
+    pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
+    terms = list(enumerate_ground_terms(sig, 3, pool))
+    pairs = stratified_pairs(terms, max_pairs=10_000, seed=0)
+    seen = set()
+    for i, (t1, t2) in enumerate(pairs):
+        seen.add(assert_same(equation_state(t1, t2, sig), trace=i % 10 == 0))
+    assert seen == {"solved", "false", "wrong"}
+
+
+# --- the benchmark's shapes at small sizes ---------------------------------------------
+
+
+def _nest(n, t):
+    for _ in range(n):
+        t = Compound("f", (t,))
+    return t
+
+
+def wide(n, variant):
+    left = [Var(f"X{i}") for i in range(n)]
+    right = [mk_int(i) for i in range(n)]
+    if variant == "false":
+        left[n // 2] = mk_int(n + 7)
+    elif variant == "wrong":
+        right[n // 2] = mk_atom("a")
+    return mk_list(left), mk_list(right)
+
+
+def deep(n, variant):
+    if variant == "solved":
+        return _nest(n, Var("X")), _nest(n, mk_int(1))
+    other = mk_int(2) if variant == "false" else mk_atom("a")
+    return (
+        Compound("g", (Var("X"), _nest(n, mk_int(1)))),
+        Compound("g", (mk_int(3), _nest(n, other))),
+    )
+
+
+def chain(n, variant):
+    xs = [Var(f"X{i}") for i in range(n + 1)]
+    links = tuple(Compound("g", (xs[i], xs[i])) for i in range(n))
+    if variant == "solved":
+        return Compound("f", tuple(xs[1:])), Compound("f", links)
+    last = mk_int(2) if variant == "false" else mk_atom("a")
+    return (
+        Compound("f", (*xs[1:], xs[0], xs[0])),
+        Compound("f", (*links, mk_int(1), last)),
+    )
+
+
+def test_shapes_match_reference():
+    verdicts = []
+    for shape, sizes in ((wide, range(2, 9)), (deep, range(1, 7)), (chain, range(1, 7))):
+        for n, variant in itertools.product(sizes, ("solved", "false", "wrong")):
+            verdicts.append(assert_same(equation_state(*shape(n, variant))))
+    assert set(verdicts) == {"solved", "false", "wrong"}
+
+
+def test_long_run_on_one_constraint():
+    # 300 steps on a single constraint pass the budget's walk-free lower
+    # bound, (2 * 1)**2 * 64 = 256, so the exact size**2 * 64 applies
+    state = ConstraintState(terms=(TermConstraint(*deep(300, "solved")),), types=())
+    assert assert_same(state) == "solved"
+    assert solve(state).steps == 300

@@ -21,7 +21,14 @@ from regunify import (
     mk_int,
     mk_list,
 )
-from regunify.syntax import occurs_in, term_depth, term_size, type_occurs_in, type_size
+from regunify.syntax import (
+    occurs_in,
+    term_depth,
+    term_size,
+    tree_counts,
+    type_occurs_in,
+    type_size,
+)
 
 INT = Base("int")
 
@@ -80,6 +87,16 @@ def test_sizes_and_depth():
     assert term_depth(t) == 2
     assert type_size(SymApp("list", (INT,))) == 2
     assert term_depth(mk_int(3)) == 0
+
+
+def test_shared_subterms_count_as_trees():
+    # g(t, t) with one object t, 40 times over: a tree of 2**41 - 1 nodes
+    t = Var("X")
+    for _ in range(40):
+        t = Compound("g", (t, t))
+    assert term_size(t) == 2**41 - 1
+    assert tree_counts((t, Var("X"), mk_int(0))) == ({"X": 2**40 + 1}, 2**41 + 1)
+    assert occurs_in("X", t) and not occurs_in("Y", t)
 
 
 # --- property tests --------------------------------------------------------------
