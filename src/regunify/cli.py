@@ -269,26 +269,30 @@ def cmd_unify(args):
             {"rule": s.rule, "constraint": _c_doc(s.target), "after": _state_doc(s.state)}
             for s in run.trace
         ]
+    doc.update(_unify_outcome(run))
+    return _UNIFY_EXIT[doc["outcome"]], doc, _human_unify(doc)
+
+
+_UNIFY_EXIT = {"solved": EXIT_OK, "false": EXIT_FALSE, "wrong": EXIT_WRONG}
+
+
+def _unify_outcome(run) -> dict:
+    """The outcome, bindings, var_types and witness fields of a unify doc."""
     result = run.result
     if isinstance(result, Solved):
-        doc["outcome"] = "solved"
-        doc["bindings"] = {name: pp_term(t) for name, t in result.subst.items()}
-        doc["var_types"] = _rename_types(run.var_types)
-        doc["witness"] = None
-        code = EXIT_OK
-    elif isinstance(result, SolveFalse):
-        doc["outcome"] = "false"
-        doc["bindings"] = None
-        doc["var_types"] = _rename_types(run.var_types)
-        doc["witness"] = _c_text(_c_doc(result.witness))
-        code = EXIT_FALSE
-    else:
-        doc["outcome"] = "wrong"
-        doc["bindings"] = None
-        doc["var_types"] = None
-        doc["witness"] = _c_text(_c_doc(result.witness))
-        code = EXIT_WRONG
-    return code, doc, _human_unify(doc)
+        return {
+            "outcome": "solved",
+            "bindings": {name: pp_term(t) for name, t in result.subst.items()},
+            "var_types": _rename_types(run.var_types),
+            "witness": None,
+        }
+    solve_false = isinstance(result, SolveFalse)
+    return {
+        "outcome": "false" if solve_false else "wrong",
+        "bindings": None,
+        "var_types": _rename_types(run.var_types) if solve_false else None,
+        "witness": _c_text(_c_doc(result.witness)),
+    }
 
 
 def _human_unify(doc) -> list[str]:
@@ -333,12 +337,17 @@ def cmd_run(args):
     query = parse_query(args.query, source="<query>")
     budget = ResolutionBudget(max_steps=args.max_steps or ResolutionBudget().max_steps)
     report = resolve(program, query, defs, overrides=overrides, budget=budget)
+    doc = _run_doc(report, args.trace)
+    return _RUN_EXIT[doc["outcome"]], doc, _human_run(doc)
+
+
+def _run_doc(report, trace: bool) -> dict:
+    """The `run` document of a resolve report, with its branches if traced."""
     outcome = report.outcome
-    text = _RUN_TEXT[type(outcome)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
-        "outcome": text,
+        "outcome": _RUN_TEXT[type(outcome)],
         "steps": report.steps,
         "budget_exceeded": isinstance(outcome, NoUnknown) and outcome.budget_exceeded,
         "bindings": None,
@@ -347,7 +356,7 @@ def cmd_run(args):
     if isinstance(outcome, Yes):
         doc["bindings"] = {name: pp_term(t) for name, t in outcome.bindings.items()}
         doc["var_types"] = _rename_types(outcome.var_types)
-    if args.trace:
+    if trace:
         doc["branches"] = [
             {
                 "depth": b.depth,
@@ -359,7 +368,7 @@ def cmd_run(args):
             }
             for b in report.branches
         ]
-    return _RUN_EXIT[text], doc, _human_run(doc)
+    return doc
 
 
 def _human_run(doc) -> list[str]:
@@ -388,9 +397,9 @@ def cmd_oracle(args):
     sig = derive_signatures(defs).with_function("f", 1)
     pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
     terms = list(enumerate_ground_terms(sig, args.depth, pool))
-    values = [eval_term(t) for t in terms]
-    value_of = {id(t): v for t, v in zip(terms, values)}
     pairs = stratified_pairs(terms, max_pairs=args.limit, seed=args.seed)
+    kept = {id(t): t for t, _ in pairs}
+    value_of = {key: eval_term(t) for key, t in kept.items()}
     verdict_of = {Solved: "true", SolveFalse: "false", SolveWrong: "wrong"}
     mismatches = []
     for t1, t2 in pairs:
@@ -439,50 +448,21 @@ def cmd_repl(args):
             if line.startswith("?-"):
                 query = parse_query(line, source="<repl>")
                 report = resolve(program, query, defs, overrides=overrides)
-                doc_code = _RUN_TEXT[type(report.outcome)]
-                if isinstance(report.outcome, Yes):
-                    bindings = {k: pp_term(v) for k, v in report.outcome.bindings.items()}
-                    print(f"yes {_map_text(bindings, ' = ')}", file=out)
-                    print(f"types: {_map_text(_rename_types(report.outcome.var_types), ' : ')}", file=out)
-                else:
-                    print(doc_code, file=out)
-                continue
-            parsed = None
-            if ":-" not in line:
-                parsed = parse_equation(line, source="<repl>")
-            if isinstance(parsed, tuple):
-                run = typed_unify(parsed[0], parsed[1], defs, overrides=overrides)
-                _, doc, lines = _repl_unify_doc(run)
-                for ln in lines:
-                    print(ln, file=out)
+                lines = _human_run(_run_doc(report, trace=False))
             else:
-                clauses = parse_program(line if line.endswith(".") else line + ".", source="<repl>")
-                program.extend(clauses)
-                print(f"asserted ({len(program)} clauses)", file=out)
+                parsed = None if ":-" in line else parse_equation(line, source="<repl>")
+                if isinstance(parsed, tuple):
+                    run = typed_unify(parsed[0], parsed[1], defs, overrides=overrides)
+                    lines = _human_unify(_unify_outcome(run))
+                else:
+                    clauses = parse_program(line if line.endswith(".") else line + ".", source="<repl>")
+                    program.extend(clauses)
+                    lines = [f"asserted ({len(program)} clauses)"]
         except RegunifyError as e:
-            print(f"error: {e}", file=out)
+            lines = [f"error: {e}"]
+        for ln in lines:
+            print(ln, file=out)
     return EXIT_OK
-
-
-def _repl_unify_doc(run):
-    doc = {"steps": run.steps}
-    result = run.result
-    if isinstance(result, Solved):
-        doc["outcome"] = "solved"
-        doc["bindings"] = {name: pp_term(t) for name, t in result.subst.items()}
-        doc["var_types"] = _rename_types(run.var_types)
-        doc["witness"] = None
-    elif isinstance(result, SolveFalse):
-        doc["outcome"] = "false"
-        doc["bindings"] = None
-        doc["var_types"] = _rename_types(run.var_types)
-        doc["witness"] = _c_text(_c_doc(result.witness))
-    else:
-        doc["outcome"] = "wrong"
-        doc["bindings"] = None
-        doc["var_types"] = None
-        doc["witness"] = _c_text(_c_doc(result.witness))
-    return None, doc, _human_unify(doc)
 
 
 # --- driver ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .syntax import (
     free_type_vars,
     mk_list,
 )
-from .typedefs import BUILTIN_LIST, SignatureEnv, TypeDef, TypeDefSet
+from .typedefs import SignatureEnv, TypeDef, TypeDefSet
 
 _TOKEN_TABLE = [
     ("WS", r"[ \t\r\n]+"),

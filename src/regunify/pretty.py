@@ -14,13 +14,10 @@ from .syntax import (
     Bool,
     Compound,
     Const,
-    CtorApp,
-    FuncType,
     SymApp,
     TVar,
     Term,
     TypeExpr,
-    TypeScheme,
     Var,
     free_type_vars,
 )
@@ -92,34 +89,14 @@ def pp_type(ty: TypeExpr) -> str:
     return f"{_atom_text(ty.ctor)}({', '.join(pp_type(a) for a in ty.args)})"
 
 
-def pp_func_type(ft: FuncType) -> str:
-    return f"{' * '.join(pp_type(d) for d in ft.domain)} -> {pp_type(ft.codomain)}"
-
-
-def pp_scheme(scheme: TypeScheme) -> str:
-    body = (
-        pp_func_type(scheme.body) if isinstance(scheme.body, FuncType) else pp_type(scheme.body)
-    )
-    return body
-
-
 def pp_subst(subst: dict[str, Term]) -> str:
     inner = ", ".join(f"{name} = {pp_term(t)}" for name, t in sorted(subst.items()))
-    return "{" + inner + "}"
-
-
-def pp_type_subst(subst: dict[str, TypeExpr]) -> str:
-    inner = ", ".join(f"{name} = {pp_type(t)}" for name, t in sorted(subst.items()))
     return "{" + inner + "}"
 
 
 def pp_context(ctx: dict[str, TypeExpr]) -> str:
     inner = ", ".join(f"{name} : {pp_type(ty)}" for name, ty in ctx.items())
     return "{" + inner + "}"
-
-
-def pp_typing(ctx: dict[str, TypeExpr], ty: TypeExpr) -> str:
-    return f"({pp_context(ctx)}, {pp_type(ty)})"
 
 
 _DISPLAY_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"

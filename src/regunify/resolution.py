@@ -41,7 +41,6 @@ from .syntax import (
     Subst,
     Term,
     TypeExpr,
-    Var,
     apply_subst,
     apply_type_subst,
     free_vars,

@@ -192,13 +192,6 @@ def dom_tag(v: Value) -> DomainTag:
     return TreeDom(v.root, tuple(dom_tag(c) for c in v.children))
 
 
-def dom(v: Value) -> frozenset:
-    """The domain of a value as a tag set.  Always a singleton; the empty
-    list's tag EmptyListAny stands for membership in every list domain.
-    """
-    return frozenset({dom_tag(v)})
-
-
 def mk_cons(head: Value, tail: Value) -> Value:
     """Apply the list constructor: wrong unless the tail is a list whose
     element domain is compatible with the head's domain.
@@ -408,19 +401,3 @@ def stratified_pairs(terms, max_pairs: int = 10_000, seed: int = 0):
         out += deep[seed % stride :: stride][:extra]
     return [(a, b) for a in out for b in out]
 
-
-def random_term(rng, vocab, max_depth: int, variables=()) -> Term:
-    """A random term over (constants, functions) with optional variables.
-
-    `vocab` is a pair (constants, functions) where constants is a list of
-    Const leaves and functions a list of (name, arity).  Used to reproduce
-    the randomized solver checks.
-    """
-    constants, functions = vocab
-    leaf_pool = list(constants) + [Var(v) for v in variables]
-    if max_depth <= 0 or not functions or rng.random() < 0.35:
-        return rng.choice(leaf_pool)
-    functor, arity = rng.choice(list(functions))
-    return Compound(
-        functor, tuple(random_term(rng, vocab, max_depth - 1, variables) for _ in range(arity))
-    )

@@ -24,9 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Base,
-    Bool,
-    Compound,
     Const,
     CtorApp,
     FuncType,
@@ -35,11 +32,11 @@ from .syntax import (
     Term,
     TypeExpr,
     apply_type_subst,
-    apply_type_subst_func,
+    free_type_vars,
     Var,
 )
 from .errors import UnboundVariable
-from .typedefs import SignatureEnv
+from .typedefs import SignatureEnv, instantiate
 
 Context = dict[str, TypeExpr]
 
@@ -53,7 +50,7 @@ class _MatchState:
     counter: int = 0
     failure: tuple[Term, TypeExpr] | None = None
 
-    def fresh(self) -> TVar:
+    def tvar(self) -> TVar:
         self.counter += 1
         name = f"?{self.counter}"
         self.flexible.add(name)
@@ -110,13 +107,6 @@ def _match(a: TypeExpr, b: TypeExpr, st: _MatchState) -> bool:
     return False
 
 
-def _instantiate_flexible(scheme, st: _MatchState):
-    mapping = {g: st.fresh() for g in scheme.generics}
-    if isinstance(scheme.body, FuncType):
-        return apply_type_subst_func(mapping, scheme.body)
-    return apply_type_subst(mapping, scheme.body)
-
-
 def _check(ctx: Context, sig: SignatureEnv, term: Term, ty: TypeExpr, st: _MatchState) -> bool:
     if isinstance(term, Var):
         try:
@@ -125,10 +115,10 @@ def _check(ctx: Context, sig: SignatureEnv, term: Term, ty: TypeExpr, st: _Match
             raise UnboundVariable(f"variable {term.name} is not in the context") from None
         ok = _match(declared, ty, st)
     elif isinstance(term, Const):
-        body = _instantiate_flexible(sig.lookup_constant(term), st)
+        body = instantiate(sig.lookup_constant(term), st)
         ok = _match(body, ty, st)
     else:
-        ft = _instantiate_flexible(sig.lookup_function(term.functor, term.arity), st)
+        ft = instantiate(sig.lookup_function(term.functor, term.arity), st)
         assert isinstance(ft, FuncType)
         ok = _match(ft.codomain, ty, st) and all(
             _check(ctx, sig, arg, dom_ty, st) for arg, dom_ty in zip(term.args, ft.domain)
@@ -160,7 +150,7 @@ def check_equation(ctx: Context, sig: SignatureEnv, lhs: Term, rhs: Term) -> boo
 
 def check_equation_explain(ctx: Context, sig: SignatureEnv, lhs: Term, rhs: Term):
     st = _MatchState()
-    shared = st.fresh()
+    shared = st.tvar()
     ok = _check(ctx, sig, lhs, shared, st) and _check(ctx, sig, rhs, shared, st)
     return ok, (None if ok else st.failure)
 
@@ -168,46 +158,20 @@ def check_equation_explain(ctx: Context, sig: SignatureEnv, lhs: Term, rhs: Term
 # --- typing instances ---------------------------------------------------------
 
 
-def _match_rigid(pairs) -> dict[str, TypeExpr] | None:
-    """One-sided matching: a substitution on the left-hand types making each
-    pair equal, treating right-hand sides as fixed.  None when impossible.
-    """
-    out: dict[str, TypeExpr] = {}
-    stack = list(pairs)
-    while stack:
-        a, b = stack.pop()
-        if isinstance(a, TVar):
-            bound = out.get(a.name)
-            if bound is None:
-                out[a.name] = b
-            elif bound != b:
-                return None
-            continue
-        if isinstance(a, (Base, Bool)):
-            if a != b:
-                return None
-            continue
-        if isinstance(a, SymApp):
-            if not (isinstance(b, SymApp) and a.symbol == b.symbol and len(a.args) == len(b.args)):
-                return None
-            stack.extend(zip(a.args, b.args))
-            continue
-        assert isinstance(a, CtorApp)
-        if not (isinstance(b, CtorApp) and a.ctor == b.ctor and len(a.args) == len(b.args)):
-            return None
-        stack.extend(zip(a.args, b.args))
-    return out
-
-
 def is_instance(candidate: tuple[Context, TypeExpr], principal: tuple[Context, TypeExpr]) -> bool:
     """Whether one substitution carries the principal typing onto the
     candidate: same variables, and a single type substitution maps the
     principal context and type pointwise onto the candidate's.
+
+    The principal's type variables are renamed apart to flexible ones (`?n`
+    is outside the type grammar) and matched against the rigid candidate.
     """
     cand_ctx, cand_ty = candidate
     prin_ctx, prin_ty = principal
     if set(cand_ctx) != set(prin_ctx):
         return False
-    pairs = [(prin_ty, cand_ty)]
-    pairs += [(prin_ctx[name], cand_ctx[name]) for name in prin_ctx]
-    return _match_rigid(pairs) is not None
+    st = _MatchState()
+    pairs = [(prin_ty, cand_ty)] + [(prin_ctx[name], cand_ctx[name]) for name in prin_ctx]
+    names = dict.fromkeys(name for p, _ in pairs for name in free_type_vars(p))
+    apart = {name: st.tvar() for name in names}
+    return all(_match(apply_type_subst(apart, p), c, st) for p, c in pairs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import ArityMismatch, ConflictingOverride, TypeValidationError, UnknownSymbol
+from .errors import ArityMismatch, ConflictingOverride, TypeValidationError
 from .syntax import (
     ATOM,
     Base,
@@ -102,11 +102,6 @@ class TypeDefSet:
 
     def __init__(self, defs: dict[str, TypeDef]):
         self._defs = dict(defs)
-        # constructor name -> owning definition
-        self._owner: dict[str, TypeDef] = {}
-        for d in self._defs.values():
-            for s in d.summands:
-                self._owner[s.ctor] = d
 
     def lookup(self, symbol: str) -> TypeDef | None:
         return self._defs.get(symbol)
@@ -120,9 +115,6 @@ class TypeDefSet:
             return None
         params = tuple(f"A{i + 1}" for i in range(arity))
         return TypeDef(symbol, params, (CtorApp(functor, tuple(TVar(p) for p in params)),))
-
-    def owner_of(self, ctor: str) -> TypeDef | None:
-        return self._owner.get(ctor)
 
     def symbols(self) -> tuple[str, ...]:
         return tuple(self._defs)
@@ -239,14 +231,12 @@ def _check_symapp_arities(ty: TypeExpr, defs: dict[str, TypeDef], where: str, ou
 class SignatureEnv:
     """Schemes for constants, functions, and predicates.
 
-    Lookups fall back to the defaults described in the module docstring when
-    `defaults_enabled` is set; otherwise a missing symbol raises UnknownSymbol.
+    Lookups fall back to the defaults described in the module docstring.
     """
 
     constants: dict[str, TypeScheme] = field(default_factory=dict)
     functions: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
     predicates: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
-    defaults_enabled: bool = True
 
     def lookup_constant(self, const: Const) -> TypeScheme:
         if const.kind == "int":
@@ -261,8 +251,6 @@ class SignatureEnv:
             return scheme
         if any(f == name for (f, _n) in self.functions):
             raise ArityMismatch(f"{name} is a declared functor, not a constant")
-        if not self.defaults_enabled:
-            raise UnknownSymbol(f"constant {name} has no declared type")
         return TypeScheme((), ATOM)
 
     def lookup_function(self, functor: str, arity: int) -> TypeScheme:
@@ -271,8 +259,6 @@ class SignatureEnv:
             return scheme
         if functor in self.constants or any(f == functor for (f, _n) in self.functions):
             raise ArityMismatch(f"{functor} is declared with a different arity")
-        if not self.defaults_enabled:
-            raise UnknownSymbol(f"functor {functor}/{arity} has no declared type")
         params = tuple(f"A{i + 1}" for i in range(arity))
         args = tuple(TVar(p) for p in params)
         return TypeScheme(params, FuncType(args, SymApp(free_ctor_symbol(functor), args)))
@@ -281,8 +267,6 @@ class SignatureEnv:
         scheme = self.predicates.get((name, arity))
         if scheme is not None:
             return scheme
-        if not self.defaults_enabled:
-            raise UnknownSymbol(f"predicate {name}/{arity} has no declared type")
         params = tuple(f"A{i + 1}" for i in range(arity))
         return TypeScheme(params, FuncType(tuple(TVar(p) for p in params), Bool()))
 
@@ -295,12 +279,6 @@ class SignatureEnv:
         functions = dict(self.functions)
         functions[(functor, arity)] = scheme
         return replace(self, functions=functions)
-
-    def with_constant(self, name: str) -> "SignatureEnv":
-        scheme = self.lookup_constant(Const(name, "atom"))
-        constants = dict(self.constants)
-        constants[name] = scheme
-        return replace(self, constants=constants)
 
 
 def derive_signatures(defs: TypeDefSet, overrides: SignatureEnv | None = None) -> SignatureEnv:

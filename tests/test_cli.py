@@ -302,6 +302,78 @@ def test_repl_session(capsys, monkeypatch):
     assert "wrong" in out
 
 
+REPL_SCRIPT = """\
+% a comment
+
+p(0).
+q(a) :- p(0).
+?- p(X).
+?- q(Y).
+?- p(1).
+?- p(a).
+?- p(1), p(0).
+X = 1.
+f(1, a) = f(2, a).
+cons(1, 2) = Y.
+cons(X, []) = cons(1, Y).
+f( = x.
+?- p(
+quit.
+?- p(X).
+"""
+
+REPL_GOLDEN = """\
+one statement per line: fact/rule to assert, t1 = t2, or ?- goals.
+asserted (1 clauses)
+asserted (2 clauses)
+yes {X = 0}
+types: {X : int}
+yes {Y = a}
+types: {Y : atom}
+no(false)
+no(wrong)
+no(?)
+solved
+bindings: {X = 1}
+types: {X : int}
+false
+disagreement: 1 = 2
+types: {}
+wrong
+clash: int = list($t1)
+solved
+bindings: {X = 1, Y = []}
+types: {X : int, Y : list(int)}
+error: <repl>:1:4: expected a term, found '='
+error: <repl>:1:6: unexpected end of input
+"""
+
+
+def test_repl_transcript_golden(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(REPL_SCRIPT))
+    code = main(["repl"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (0, REPL_GOLDEN, "")
+
+
+def test_repl_query_prints_like_run(tmp_path, capsys, monkeypatch):
+    # a query that runs out of budget says so, exactly as `run` does
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p :- p.\n?- p.\n"))
+    code = main(["repl"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1:] == ["asserted (1 clauses)", "no(?)", "budget exceeded"]
+    p = tmp_path / "loop.pl"
+    p.write_text("p :- p.\n")
+    assert cli(capsys, "run", str(p), "-q", "?- p.") == (3, "no(?)\nbudget exceeded\n", "")
+
+
+def test_unify_step_cap_is_internal_error(capsys):
+    # a cap the user sets is checked like the default budget: exit 70, one line
+    code, out, err = cli(capsys, "unify", "f(X,Y,Z)", "f(1,2,3)", "--max-steps", "1")
+    assert (code, out, err) == (70, "", "internal error: rewriting exceeded 1 steps\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "regunify", "unify", "cons(X,[])", "cons(1,Y)"],

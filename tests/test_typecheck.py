@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regunify import (
     Base,
@@ -24,8 +25,9 @@ from regunify import (
     validate,
 )
 from regunify.errors import UnboundVariable
-from regunify.syntax import free_type_vars
+from regunify.syntax import Bool, CtorApp, free_type_vars
 
+from reference_instance import reference_is_instance
 from test_solver import _terms
 
 
@@ -128,6 +130,43 @@ def test_instance_is_directional():
 def test_instance_needs_same_variables():
     assert not is_instance(({"Y": INT}, lst(INT)), PRIN)
     assert not is_instance(({}, lst(INT)), PRIN)
+
+
+# The names are shared by both sides, and `$t1` is what inference produces.
+_TYPES = st.recursive(
+    st.sampled_from([TVar("A"), TVar("B"), TVar("$t1"), INT, ATOM, Bool(), CtorApp("[]")]),
+    lambda inner: st.one_of(
+        st.builds(lst, inner),
+        st.builds(lambda a, b: SymApp("pair", (a, b)), inner, inner),
+        st.builds(lambda a, b: CtorApp("node", (a, b)), inner, inner),
+    ),
+    max_leaves=6,
+)
+_TYPINGS = st.tuples(st.dictionaries(st.sampled_from(["X", "Y", "Z"]), _TYPES, max_size=3), _TYPES)
+
+
+def _substitute(subst, typing):
+    ctx, ty = typing
+    return {v: apply_type_subst(subst, t) for v, t in ctx.items()}, apply_type_subst(subst, ty)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TYPINGS, _TYPINGS)
+def test_instance_matches_reference_on_random_typings(candidate, principal):
+    assert is_instance(candidate, principal) == reference_is_instance(candidate, principal)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TYPINGS, st.dictionaries(st.sampled_from(["A", "B", "$t1"]), _TYPES), st.data())
+def test_instance_matches_reference_on_substituted_typings(principal, subst, data):
+    candidate = _substitute(subst, principal)
+    assert is_instance(candidate, principal)
+    assert reference_is_instance(candidate, principal)
+    # perturb one side: a different type at one position usually breaks it
+    other = data.draw(_TYPES)
+    for bent in ((candidate[0], other), (principal[0], other)):
+        assert is_instance(bent, principal) == reference_is_instance(bent, principal)
+        assert is_instance(candidate, bent) == reference_is_instance(candidate, bent)
 
 
 # --- inference/checking agreement --------------------------------------------------
