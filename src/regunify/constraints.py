@@ -12,9 +12,8 @@ constraints that must hold for the term to be well-typed:
 
 An equation t1 = t2 contributes the term constraint t1 = t2 plus both sides'
 constraints and the type constraint equating the two result types; its own
-type is bool.  Term walks never produce term constraints themselves, but the
-union in gen_equation is written generally all the same.  Constraint order is
-the generation order above, which the solver and its traces rely on.
+type is bool.  Constraint order is the generation order above, which the
+solver and its traces rely on.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ class FreshSupply:
     def __init__(self):
         self._count = 0
 
-    def tvar(self, hint: str = "t") -> TVar:
+    def tvar(self) -> TVar:
         self._count += 1
-        return TVar(f"${hint}{self._count}")
+        return TVar(f"$t{self._count}")
 
     def var(self, hint: str = "g") -> Var:
         self._count += 1
@@ -103,33 +102,34 @@ def generic_context(terms, fresh: FreshSupply) -> Context:
     return ctx
 
 
+def _gen(ctx: Context, sig: SignatureEnv, term: Term, fresh: FreshSupply, out) -> TypeExpr:
+    """The type of a term under a context; its type constraints are appended
+    to `out` in generation order.
+    """
+    if isinstance(term, Var):
+        try:
+            return ctx[term.name]
+        except KeyError:
+            raise UnboundVariable(f"variable {term.name} is not in the context") from None
+    if isinstance(term, Const):
+        return instantiate(sig.lookup_constant(term), fresh)
+    ft = instantiate(sig.lookup_function(term.functor, term.arity), fresh)
+    assert isinstance(ft, FuncType) and len(ft.domain) == term.arity
+    arg_tys = []
+    for arg in term.args:  # a loop, not a comprehension: one frame per level
+        arg_tys.append(_gen(ctx, sig, arg, fresh, out))
+    out.extend(map(TypeConstraint, arg_tys, ft.domain))
+    return ft.codomain
+
+
 def gen_term(
     ctx: Context, sig: SignatureEnv, term: Term, fresh: FreshSupply
 ) -> tuple[TypeExpr, list[TermConstraint], list[TypeConstraint]]:
     """Type, term constraints, and type constraints of a term under a context.
     The term-constraint component of a plain term walk is always empty.
     """
-    if isinstance(term, Var):
-        try:
-            return ctx[term.name], [], []
-        except KeyError:
-            raise UnboundVariable(f"variable {term.name} is not in the context") from None
-    if isinstance(term, Const):
-        ty = instantiate(sig.lookup_constant(term), fresh)
-        return ty, [], []
-    scheme = sig.lookup_function(term.functor, term.arity)
-    ft = instantiate(scheme, fresh)
-    assert isinstance(ft, FuncType) and len(ft.domain) == term.arity
-    term_cs: list[TermConstraint] = []
     type_cs: list[TypeConstraint] = []
-    arg_pairs = []
-    for arg, dom_ty in zip(term.args, ft.domain):
-        arg_ty, arg_term_cs, arg_type_cs = gen_term(ctx, sig, arg, fresh)
-        term_cs.extend(arg_term_cs)
-        type_cs.extend(arg_type_cs)
-        arg_pairs.append(TypeConstraint(arg_ty, dom_ty))
-    type_cs.extend(arg_pairs)
-    return ft.codomain, term_cs, type_cs
+    return _gen(ctx, sig, term, fresh, type_cs), [], type_cs
 
 
 def gen_equation(
@@ -138,11 +138,11 @@ def gen_equation(
     """Constraints of the equation lhs = rhs: both sides' constraints, the
     term constraint itself, and the equality of the two types.
     """
-    lhs_ty, lhs_term_cs, lhs_type_cs = gen_term(ctx, sig, lhs, fresh)
-    rhs_ty, rhs_term_cs, rhs_type_cs = gen_term(ctx, sig, rhs, fresh)
-    terms = tuple(lhs_term_cs + rhs_term_cs + [TermConstraint(lhs, rhs)])
-    types = tuple(lhs_type_cs + rhs_type_cs + [TypeConstraint(lhs_ty, rhs_ty)])
-    return ConstraintState(terms=terms, types=types)
+    type_cs: list[TypeConstraint] = []
+    lhs_ty = _gen(ctx, sig, lhs, fresh, type_cs)
+    rhs_ty = _gen(ctx, sig, rhs, fresh, type_cs)
+    type_cs.append(TypeConstraint(lhs_ty, rhs_ty))
+    return ConstraintState(terms=(TermConstraint(lhs, rhs),), types=tuple(type_cs))
 
 
 def gen_atom(
@@ -156,14 +156,9 @@ def gen_atom(
     if isinstance(atom, Const):
         return []
     assert isinstance(atom, Compound)
-    scheme = sig.lookup_predicate(atom.functor, atom.arity)
-    ft = instantiate(scheme, fresh)
+    ft = instantiate(sig.lookup_predicate(atom.functor, atom.arity), fresh)
     assert isinstance(ft, FuncType) and len(ft.domain) == atom.arity
     type_cs: list[TypeConstraint] = []
-    arg_pairs = []
-    for arg, dom_ty in zip(atom.args, ft.domain):
-        arg_ty, _arg_term_cs, arg_type_cs = gen_term(ctx, sig, arg, fresh)
-        type_cs.extend(arg_type_cs)
-        arg_pairs.append(TypeConstraint(arg_ty, dom_ty))
-    type_cs.extend(arg_pairs)
+    arg_tys = [_gen(ctx, sig, arg, fresh, type_cs) for arg in atom.args]
+    type_cs.extend(map(TypeConstraint, arg_tys, ft.domain))
     return type_cs

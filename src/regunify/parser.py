@@ -139,6 +139,12 @@ class _Parser:
     def fail(self, message: str):
         raise ParseError(message, self.peek().span)
 
+    def end(self):
+        """An optional closing dot, then the end of input."""
+        if self.at("DOT"):
+            self.advance()
+        self.expect("EOF", "end of input")
+
     # -- terms --
 
     def term(self) -> Term:
@@ -316,8 +322,12 @@ def _resolve_type(ty: TypeExpr, symbols: dict[str, int]) -> TypeExpr:
     return CtorApp(ty.ctor, args, span=ty.span)
 
 
-def _builtin_symbols() -> dict[str, int]:
-    return {"list": 1}
+def _symbols(defs: TypeDefSet | None) -> dict[str, int]:
+    """Arity of each type symbol: the built-in list and those of `defs`."""
+    symbols = {"list": 1}
+    if defs is not None:
+        symbols.update((d.symbol, len(d.params)) for d in defs.defs())
+    return symbols
 
 
 # --- public entry points -----------------------------------------------------
@@ -326,9 +336,7 @@ def _builtin_symbols() -> dict[str, int]:
 def parse_term(text: str, source: str = "<term>") -> Term:
     p = _Parser(text, source)
     term = p.term()
-    if p.at("DOT"):
-        p.advance()
-    p.expect("EOF", "end of input")
+    p.end()
     return term
 
 
@@ -339,13 +347,9 @@ def parse_equation(text: str, source: str = "<equation>"):
     if p.at("EQ"):
         p.advance()
         right = p.term()
-        if p.at("DOT"):
-            p.advance()
-        p.expect("EOF", "end of input")
+        p.end()
         return (left, right)
-    if p.at("DOT"):
-        p.advance()
-    p.expect("EOF", "end of input")
+    p.end()
     return left
 
 
@@ -354,9 +358,7 @@ def parse_query(text: str, source: str = "<query>") -> tuple[Term, ...]:
     if p.at("QNECK"):
         p.advance()
     goals = p.goals()
-    if p.at("DOT"):
-        p.advance()
-    p.expect("EOF", "end of input")
+    p.end()
     return goals
 
 
@@ -376,7 +378,7 @@ def parse_typedefs(text: str, source: str = "<types>") -> list[TypeDef]:
     raw_defs: list[TypeDef] = []
     while not p.at("EOF"):
         raw_defs.append(p.typedef())
-    symbols = _builtin_symbols()
+    symbols = _symbols(None)
     for d in raw_defs:
         if d.symbol in _RESERVED_TYPE_NAMES:
             raise ParseError(f"{d.symbol} is a reserved type name")
@@ -396,14 +398,8 @@ def parse_typedefs(text: str, source: str = "<types>") -> list[TypeDef]:
 def parse_type(text: str, defs: TypeDefSet | None = None, source: str = "<type>") -> TypeExpr:
     p = _Parser(text, source)
     raw = p.raw_type()
-    if p.at("DOT"):
-        p.advance()
-    p.expect("EOF", "end of input")
-    symbols = _builtin_symbols()
-    if defs is not None:
-        for d in defs.defs():
-            symbols[d.symbol] = len(d.params)
-    return _resolve_type(raw, symbols)
+    p.end()
+    return _resolve_type(raw, _symbols(defs))
 
 
 def _scheme_from_parts(domain, codomain) -> TypeScheme:
@@ -420,10 +416,7 @@ def parse_signatures(
     function, and `k : t.` a constant.
     """
     p = _Parser(text, source)
-    symbols = _builtin_symbols()
-    if defs is not None:
-        for d in defs.defs():
-            symbols[d.symbol] = len(d.params)
+    symbols = _symbols(defs)
     constants: dict[str, TypeScheme] = {}
     functions: dict[tuple[str, int], TypeScheme] = {}
     predicates: dict[tuple[str, int], TypeScheme] = {}
@@ -459,10 +452,7 @@ def parse_context(
 ) -> dict[str, TypeExpr]:
     """Parse `X : type.` lines into a typing context."""
     p = _Parser(text, source)
-    symbols = _builtin_symbols()
-    if defs is not None:
-        for d in defs.defs():
-            symbols[d.symbol] = len(d.params)
+    symbols = _symbols(defs)
     ctx: dict[str, TypeExpr] = {}
     while not p.at("EOF"):
         var = p.expect("VAR", "variable name")

@@ -102,25 +102,14 @@ def pp_context(ctx: dict[str, TypeExpr]) -> str:
 _DISPLAY_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def display_renaming(tys, taken=()) -> dict[str, TVar]:
+def display_renaming(tys) -> dict[str, TVar]:
     """Rename machine-generated type variables ($-prefixed) to short readable
-    names, in first-occurrence order, avoiding any names in `taken`.
+    names, in first-occurrence order.
     """
-    avoid = set(taken)
     renaming: dict[str, TVar] = {}
-    counter = 0
     for ty in tys:
         for name in free_type_vars(ty):
-            if not name.startswith("$") or name in renaming:
-                continue
-            while True:
-                cand = (
-                    _DISPLAY_NAMES[counter]
-                    if counter < len(_DISPLAY_NAMES)
-                    else f"{_DISPLAY_NAMES[counter % 26]}{counter // 26}"
-                )
-                counter += 1
-                if cand not in avoid:
-                    break
-            renaming[name] = TVar(cand)
+            if name.startswith("$") and name not in renaming:
+                n = len(renaming)
+                renaming[name] = TVar(_DISPLAY_NAMES[n % 26] + (str(n // 26) if n >= 26 else ""))
     return renaming

@@ -32,6 +32,7 @@ from .constraints import (
     TypeConstraint,
     gen_equation,
     gen_term,
+    generic_context,
 )
 from .solver import Solved, SolveFalse, SolveWrong, solve
 from .syntax import (
@@ -150,22 +151,14 @@ class _Search:
     def out_of_steps(self) -> bool:
         return self.report.steps >= self.budget.max_steps
 
-    def ensure_types(self, var_types: Context, terms) -> Context:
-        ctx = dict(var_types)
-        for t in terms:
-            for name in free_vars(t):
-                if name not in ctx:
-                    ctx[name] = self.fresh.tvar_for(name)
-        return ctx
-
     def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> ConstraintState:
         """Argument-wise typed unification of a goal with a clause head.
 
         Both atoms instantiate the predicate's scheme independently, so the
         declared signature constrains the goal's arguments and the head's.
         """
-        goal_ft = instantiate(self.sig.lookup_predicate(goal.functor, goal.arity), self.fresh)
-        head_ft = instantiate(self.sig.lookup_predicate(head.functor, head.arity), self.fresh)
+        scheme = self.sig.lookup_predicate(goal.functor, goal.arity)  # the head's too
+        goal_ft, head_ft = instantiate(scheme, self.fresh), instantiate(scheme, self.fresh)
         assert isinstance(goal_ft, FuncType) and isinstance(head_ft, FuncType)
         term_cs: list[TermConstraint] = []
         type_cs: list[TypeConstraint] = []
@@ -206,7 +199,7 @@ class _Search:
                 self.budget_exceeded = True
                 return None
             self.report.steps += 1
-            ctx = self.ensure_types(var_types, goal.args)
+            ctx = generic_context(goal.args, self.fresh) | var_types
             state = gen_equation(ctx, self.sig, goal.args[0], goal.args[1], self.fresh)
             run = solve(state)
             return self.resume(
@@ -232,7 +225,7 @@ class _Search:
                     depth, final, body=renamed.body,
                 )
             else:
-                ctx = self.ensure_types(var_types, (goal, renamed.head))
+                ctx = generic_context((goal, renamed.head), self.fresh) | var_types
                 state = self.unify_args(ctx, goal, renamed.head)
                 run = solve(state)
                 found = self.resume(

@@ -35,7 +35,7 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
-    term_depth,
+    apply_type_subst,
 )
 from .typedefs import SignatureEnv, TypeDefSet
 
@@ -275,31 +275,10 @@ def member(v: Value, ty: TypeExpr, defs: TypeDefSet) -> bool:
         if len(d.params) != len(ty.args):
             raise UnknownSymbol(f"type symbol {ty.symbol} used with wrong arity")
         inst = dict(zip(d.params, ty.args))
-        from .syntax import apply_type_subst
-
-        for s in d.summands:
-            if _root_matches(v, s):
-                return member_ctor(v, apply_type_subst(inst, s), defs)
-        return False
+        # summands have distinct root constructors, so at most one can hold v
+        return any(member_ctor(v, apply_type_subst(inst, s), defs) for s in d.summands)
     assert isinstance(ty, CtorApp)
-    if _root_matches(v, ty):
-        return member_ctor(v, ty, defs)
-    return False
-
-
-def _root_matches(v: Value, summand: TypeExpr) -> bool:
-    assert isinstance(summand, CtorApp)
-    if summand.ctor == "[]":
-        return isinstance(v, NilV)
-    if summand.ctor == "cons" and len(summand.args) == 2:
-        return isinstance(v, ConsV)
-    if not summand.args:
-        return isinstance(v, AtmV) and v.name == summand.ctor
-    return (
-        isinstance(v, TreeV)
-        and v.root == summand.ctor
-        and len(v.children) == len(summand.args)
-    )
+    return member_ctor(v, ty, defs)
 
 
 def member_ctor(v: Value, ty: CtorApp, defs: TypeDefSet) -> bool:
@@ -390,9 +369,10 @@ def stratified_pairs(terms, max_pairs: int = 10_000, seed: int = 0):
     kept terms.  The seed shifts the stride phase; 0 reproduces the default
     sweep.
     """
-    terms = list(terms)
-    shallow = [t for t in terms if term_depth(t) <= 1]
-    deep = [t for t in terms if term_depth(t) > 1]
+    shallow, deep = [], []
+    for t in terms:  # deeper than 1 exactly when some argument is a compound
+        nested = any(isinstance(a, Compound) for a in getattr(t, "args", ()))
+        (deep if nested else shallow).append(t)
     keep = max(len(shallow) + 1, math.isqrt(max_pairs))
     extra = keep - len(shallow)
     out = list(shallow)

@@ -393,18 +393,11 @@ class _Phase:
             index.setdefault(var, []).extend(changed)
 
 
-def _read_type_subst(types) -> dict[str, TypeExpr]:
-    out: dict[str, TypeExpr] = {}
-    for c in types:
-        assert isinstance(c.lhs, TVar), "type constraints not in solved form"
-        out[c.lhs.name] = c.rhs
-    return out
-
-
-def _read_subst(terms) -> dict[str, Term]:
-    out: dict[str, Term] = {}
-    for c in terms:
-        assert isinstance(c.lhs, Var), "term constraints not in solved form"
+def _read(constraints) -> dict:
+    """The unifier a family's constraints in solved form spell out."""
+    out = {}
+    for c in constraints:
+        assert isinstance(c.lhs, (Var, TVar)), "constraints not in solved form"
         out[c.lhs.name] = c.rhs
     return out
 
@@ -447,7 +440,7 @@ def solve(
                     result = SolveWrong(witness=target)
                 else:
                     result = SolveFalse(
-                        type_subst=_read_type_subst(types.ordered()), witness=target
+                        type_subst=_read(types.ordered()), witness=target
                     )
                 return SolveRun(result, steps, tuple(trace_steps))
             phase.fire(rule, cid)
@@ -460,7 +453,7 @@ def solve(
                     )
                 )
     result = Solved(
-        subst=_read_subst(terms.ordered()), type_subst=_read_type_subst(types.ordered())
+        subst=_read(terms.ordered()), type_subst=_read(types.ordered())
     )
     return SolveRun(result, steps, tuple(trace_steps))
 

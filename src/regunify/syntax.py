@@ -10,7 +10,7 @@ hashable so they can sit in sets, dict keys, and constraint multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -231,21 +231,31 @@ def apply_type_subst_func(subst: TypeSubst, ft: FuncType) -> FuncType:
     )
 
 
-def term_vars(term: Term) -> Iterator[str]:
-    """Yield variable names in first-occurrence order (with repeats)."""
-    if isinstance(term, Var):
-        yield term.name
-    elif isinstance(term, Compound):
-        for arg in term.args:
-            yield from term_vars(arg)
+def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:
+    """Distinct variable names of a term, type expression or function type,
+    in first-occurrence order.  Iterative, and a compound shared by several
+    parents is walked once: the preorder walk meets all of its names at its
+    first visit, so skipping the later ones keeps the order.
+    """
+    names: dict[str, None] = {}
+    walked: set[int] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var or kind is TVar:
+            names[node.name] = None
+        elif kind is FuncType:
+            stack.append(node.codomain)
+            stack.extend(reversed(node.domain))
+        elif kind is Compound or kind is SymApp or kind is CtorApp:
+            if node.args and id(node) not in walked:
+                walked.add(id(node))
+                stack.extend(reversed(node.args))
+    return list(names)
 
 
-def free_vars(term: Term) -> list[str]:
-    """Distinct variable names of a term in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for name in term_vars(term):
-        seen.setdefault(name)
-    return list(seen)
+free_type_vars = free_vars
 
 
 def occurs_in(name: str, node: Union[Term, TypeExpr]) -> bool:
@@ -263,28 +273,6 @@ def occurs_in(name: str, node: Union[Term, TypeExpr]) -> bool:
         elif isinstance(node, (Var, TVar)) and node.name == name:
             return True
     return False
-
-
-def type_vars(ty: Union[TypeExpr, FuncType]) -> Iterator[str]:
-    if isinstance(ty, TVar):
-        yield ty.name
-    elif isinstance(ty, (SymApp, CtorApp)):
-        for arg in ty.args:
-            yield from type_vars(arg)
-    elif isinstance(ty, FuncType):
-        for d in ty.domain:
-            yield from type_vars(d)
-        yield from type_vars(ty.codomain)
-
-
-def free_type_vars(ty: Union[TypeExpr, FuncType]) -> list[str]:
-    seen: dict[str, None] = {}
-    for name in type_vars(ty):
-        seen.setdefault(name)
-    return list(seen)
-
-
-type_occurs_in = occurs_in
 
 
 def tree_counts(roots) -> tuple[dict[str, int], int]:
@@ -341,13 +329,4 @@ def term_size(node: Union[Term, TypeExpr]) -> int:
     """Node count of the tree a term or type expression denotes."""
     return tree_counts((node,))[1]
 
-
-type_size = term_size
-
-
-def term_depth(term: Term) -> int:
-    """Constructor-application depth; leaves sit at 0."""
-    if isinstance(term, Compound):
-        return 1 + max(term_depth(a) for a in term.args)
-    return 0
 

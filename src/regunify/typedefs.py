@@ -40,7 +40,6 @@ from .syntax import (
     apply_type_subst_func,
     free_ctor_symbol,
     free_type_vars,
-    type_vars,
 )
 
 
@@ -164,7 +163,7 @@ def validate(defs) -> TypeDefSet:
                             f"constructor {s.ctor!r} must be an atom, not a literal",
                         )
                     )
-                for v in type_vars(s):
+                for v in free_type_vars(s):
                     used.add(v)
                     if v not in d.params:
                         out.append(
@@ -239,12 +238,8 @@ class SignatureEnv:
     predicates: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
 
     def lookup_constant(self, const: Const) -> TypeScheme:
-        if const.kind == "int":
-            return TypeScheme((), Base("int"))
-        if const.kind == "float":
-            return TypeScheme((), Base("float"))
-        if const.kind == "string":
-            return TypeScheme((), Base("string"))
+        if const.kind != "atom":  # literal kinds are base type names
+            return TypeScheme((), Base(const.kind))
         name = const.symbol
         scheme = self.constants.get(name)
         if scheme is not None:

@@ -78,6 +78,14 @@ def test_compound_case_constraint_order(sig):
         TypeConstraint(TVar("$X"), TVar("$t1")),
         TypeConstraint(lst(TVar("$t2")), lst(TVar("$t1"))),
     ]
+    # nested: the inner cons's constraints come before the outer pairs
+    _, _, type_cs = gen_term(ctx, sig, parse_term("cons(1, cons(X, []))"), FreshSupply())
+    assert type_cs == [
+        TypeConstraint(TVar("$X"), TVar("$t2")),
+        TypeConstraint(lst(TVar("$t3")), lst(TVar("$t2"))),
+        TypeConstraint(Base("int"), TVar("$t1")),
+        TypeConstraint(lst(TVar("$t2")), lst(TVar("$t1"))),
+    ]
 
 
 def test_equation_both_walks_then_equality(defs, sig):

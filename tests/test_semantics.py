@@ -43,7 +43,11 @@ from regunify.semantics import (
     domains_intersect,
     mk_cons,
 )
-from regunify.syntax import term_depth
+
+
+def term_depth(t):
+    """Constructor-application depth; leaves sit at 0."""
+    return 1 + max(map(term_depth, t.args)) if isinstance(t, Compound) else 0
 
 
 def test_eval_list():

@@ -21,14 +21,7 @@ from regunify import (
     mk_int,
     mk_list,
 )
-from regunify.syntax import (
-    occurs_in,
-    term_depth,
-    term_size,
-    tree_counts,
-    type_occurs_in,
-    type_size,
-)
+from regunify.syntax import FuncType, occurs_in, term_size, tree_counts
 
 INT = Base("int")
 
@@ -72,7 +65,7 @@ def test_apply_type_subst_structural():
 def test_occurs_in():
     assert occurs_in("X", Compound("f", (Compound("g", (Var("X"),)),)))
     assert not occurs_in("X", Compound("f", (Var("Y"),)))
-    assert type_occurs_in("A", SymApp("list", (TVar("A"),)))
+    assert occurs_in("A", SymApp("list", (TVar("A"),)))
 
 
 def test_free_vars():
@@ -81,12 +74,34 @@ def test_free_vars():
     assert free_type_vars(SymApp("list", (TVar("A"),))) == ["A"]
 
 
+def test_free_vars_of_function_type():
+    ft = FuncType((TVar("B"), SymApp("list", (TVar("A"), TVar("B")))), TVar("C"))
+    assert free_vars(ft) == ["B", "A", "C"]
+    assert free_type_vars(FuncType((Base("int"),), TVar("A"))) == ["A"]
+
+
+def test_free_vars_of_deep_term():
+    # nested far past the interpreter's recursion limit
+    t = Var("X")
+    for i in range(10_000):
+        t = Compound("f", (t, Var(f"Y{i % 3}")))
+    names = free_vars(t)  # compared apart from t, whose repr is too deep
+    assert names == ["X", "Y0", "Y1", "Y2"]
+
+
+def test_free_vars_of_shared_chain():
+    # g(t, t) with one object t, 40 times over: the tree has 2**41 - 1 nodes
+    t = Compound("h", (Var("X"), Var("Y")))
+    for _ in range(40):
+        t = Compound("g", (t, t))
+    names = free_vars(Compound("k", (t, Var("Z"), t)))  # no repr of the tree
+    assert names == ["X", "Y", "Z"]
+
+
 def test_sizes_and_depth():
     t = cons(mk_int(1), cons(mk_int(2), NIL))
     assert term_size(t) == 5
-    assert term_depth(t) == 2
-    assert type_size(SymApp("list", (INT,))) == 2
-    assert term_depth(mk_int(3)) == 0
+    assert term_size(SymApp("list", (INT,))) == 2
 
 
 def test_shared_subterms_count_as_trees():
@@ -118,9 +133,22 @@ def terms(draw, depth=3):
     return Compound(functor, tuple(draw(terms(depth - 1)) for _ in range(n)))
 
 
+def _naive_free_vars(t, acc=None):
+    """Recursive first-occurrence walk, for comparison."""
+    acc = [] if acc is None else acc
+    if isinstance(t, Var) and t.name not in acc:
+        acc.append(t.name)
+    for a in getattr(t, "args", ()):
+        _naive_free_vars(a, acc)
+    return acc
+
+
 @given(terms(), _names, terms(depth=2))
-def test_occurs_iff_free(t, name, _unused):
+def test_occurs_iff_free(t, name, other):
     assert occurs_in(name, t) == (name in free_vars(t))
+    assert free_vars(t) == _naive_free_vars(t)
+    shared = Compound("g", (t, other, t))  # the same object twice
+    assert free_vars(shared) == _naive_free_vars(shared)
 
 
 @given(terms(), _names, terms(depth=2))

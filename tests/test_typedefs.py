@@ -63,6 +63,14 @@ def test_unused_param_and_unbound_var():
     assert "UnboundTypeVar" in _violation_kinds("t(A) --> f(A, B).")
 
 
+def test_unbound_var_reported_once_per_summand():
+    with pytest.raises(TypeValidationError) as exc:
+        validate(parse_typedefs("t(A) --> f(B, B) + g(A)."))
+    assert [(v.kind, v.detail) for v in exc.value.violations] == [
+        ("UnboundTypeVar", "variable B does not appear in the parameter list")
+    ]
+
+
 def test_bare_variable_summand_rejected():
     assert "IllegalSummand" in _violation_kinds("t(A) --> A + f(A).")
 
