@@ -42,6 +42,7 @@ from .syntax import (
     Subst,
     Term,
     TypeExpr,
+    Var,
     apply_subst,
     apply_type_subst,
     free_vars,
@@ -129,27 +130,25 @@ def _callable_key(t: Term):
     return None
 
 
-def _compose(first: Subst, second: Subst) -> Subst:
-    out = {name: apply_subst(second, t) for name, t in first.items()}
-    for name, t in second.items():
-        out.setdefault(name, t)
-    return out
+def _compose(answer: Subst, step: Subst) -> Subst:
+    return {name: apply_subst(step, t) for name, t in answer.items()}
+
+
+_VERDICT = {Solved: "solved", SolveFalse: "false", SolveWrong: "wrong"}
 
 
 class _Search:
+    """Depth-first search over an explicit stack of choice points, one per depth."""
+
     def __init__(self, program, defs: TypeDefSet, overrides, budget: ResolutionBudget):
-        self.program = tuple(program)
+        self.index: dict[tuple, list[Clause]] = {}  # (name, arity) -> clauses, in order
+        for clause in program:
+            self.index.setdefault(_callable_key(clause.head), []).append(clause)
         self.sig = derive_signatures(defs, overrides)
         self.budget = budget
         self.fresh = FreshSupply()
         self.report = ResolveReport(outcome=NoUnknown())
-        self.saw_wrong = False
-        self.saw_nonfinal_false = False
-        self.saw_final_false = False
         self.budget_exceeded = False
-
-    def out_of_steps(self) -> bool:
-        return self.report.steps >= self.budget.max_steps
 
     def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> ConstraintState:
         """Argument-wise typed unification of a goal with a clause head.
@@ -175,85 +174,64 @@ class _Search:
         type_cs += [TypeConstraint(ty, d) for ty, d in zip(head_tys, head_ft.domain)]
         return ConstraintState(tuple(term_cs), tuple(type_cs))
 
-    def note(self, depth, goal, against, verdict, final, via="clause"):
-        self.report.branches.append(BranchNote(depth, goal, against, verdict, final, via))
-        if verdict == "wrong":
-            self.saw_wrong = True
-        elif verdict == "false":
-            if final:
-                self.saw_final_false = True
-            else:
-                self.saw_nonfinal_false = True
-
-    def run(self, goals, subst: Subst, var_types: Context, depth: int) -> Optional[Yes]:
-        if not goals:
-            return Yes(subst, var_types)
-        if depth >= self.budget.max_depth:
-            self.budget_exceeded = True
-            return None
-        goal, rest = goals[0], goals[1:]
-        final = not rest
-
-        if isinstance(goal, Compound) and goal.functor == "=" and goal.arity == 2:
-            if self.out_of_steps():
-                self.budget_exceeded = True
-                return None
-            self.report.steps += 1
-            ctx = generic_context(goal.args, self.fresh) | var_types
-            state = gen_equation(ctx, self.sig, goal.args[0], goal.args[1], self.fresh)
-            run = solve(state)
-            return self.resume(
-                run.result, goal, None, rest, subst, ctx, depth, final,
-                body=(), via="equality",
-            )
-
-        key = _callable_key(goal)
-        assert key is not None, "goals are atoms by construction"
-        tried = 0
-        for clause in self.program:
-            if _callable_key(clause.head) != key:
+    def run(self, goals, answer: Subst) -> Optional[tuple[Subst, Context]]:
+        """The first answer and its variable types, or None once no choice is left."""
+        stack = [iter([(goals, answer, {})])]  # the query: the one state at depth 0
+        while stack:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
                 continue
-            if self.out_of_steps():
+            goals, answer, var_types = state
+            depth = len(stack) - 1
+            if not goals:
+                return answer, var_types
+            if depth >= self.budget.max_depth:
                 self.budget_exceeded = True
-                return None
-            self.report.steps += 1
-            tried += 1
-            renamed = rename_clause(clause, self.fresh)
-            if isinstance(goal, Const):
-                found = self.resume(
-                    Solved({}, {}), goal, renamed.head, rest, subst, dict(var_types),
-                    depth, final, body=renamed.body,
-                )
             else:
-                ctx = generic_context((goal, renamed.head), self.fresh) | var_types
-                state = self.unify_args(ctx, goal, renamed.head)
-                run = solve(state)
-                found = self.resume(
-                    run.result, goal, renamed.head, rest, subst, ctx, depth, final,
-                    body=renamed.body,
-                )
-            if found is not None:
-                return found
-        if tried == 0:
-            # no candidate clauses at all: the branch fails plainly
-            self.note(depth, goal, None, "false", final, via="no_clauses")
+                stack.append(self.tries(goals, answer, var_types, depth))
         return None
 
-    def resume(self, result, goal, against, rest, subst, ctx, depth, final, body, via="clause"):
-        if isinstance(result, SolveWrong):
-            self.note(depth, goal, against, "wrong", final, via)
-            return None
-        if isinstance(result, SolveFalse):
-            self.note(depth, goal, against, "false", final, via)
-            return None
-        assert isinstance(result, Solved)
-        self.note(depth, goal, against, "solved", final, via)
-        new_subst = _compose(subst, result.subst)
-        new_goals = tuple(apply_subst(result.subst, g) for g in (*body, *rest))
-        new_types = {
-            name: apply_type_subst(result.type_subst, ty) for name, ty in ctx.items()
-        }
-        return self.run(new_goals, new_subst, new_types, depth + 1)
+    def tries(self, goals, answer: Subst, var_types: Context, depth: int):
+        """Try the first goal against `=` or its clauses, yielding the state after each solve."""
+        notes = self.report.branches
+        goal, rest = goals[0], goals[1:]
+        final = not rest
+        if isinstance(goal, Compound) and goal.functor == "=" and goal.arity == 2:
+            clauses = [None]  # a single try, by typed unification
+        else:
+            key = _callable_key(goal)
+            assert key is not None, "goals are atoms by construction"
+            clauses = self.index.get(key)
+            if not clauses:
+                # no candidate clauses at all: the branch fails plainly
+                notes.append(BranchNote(depth, goal, None, "false", final, "no_clauses"))
+                return
+        for clause in clauses:
+            if self.report.steps >= self.budget.max_steps:
+                self.budget_exceeded = True
+                return
+            self.report.steps += 1
+            if clause is None:
+                against, body, via = None, (), "equality"
+                ctx = generic_context(goal.args, self.fresh) | var_types
+                result = solve(gen_equation(ctx, self.sig, *goal.args, self.fresh)).result
+            else:
+                renamed = rename_clause(clause, self.fresh)
+                against, body, via = renamed.head, renamed.body, "clause"
+                if isinstance(goal, Const):
+                    ctx, result = var_types, Solved({}, {})
+                else:
+                    ctx = generic_context((goal, renamed.head), self.fresh) | var_types
+                    result = solve(self.unify_args(ctx, goal, renamed.head)).result
+            verdict = _VERDICT[type(result)]
+            notes.append(BranchNote(depth, goal, against, verdict, final, via))
+            if verdict == "solved":
+                yield (
+                    tuple(apply_subst(result.subst, g) for g in (*body, *rest)),
+                    _compose(answer, result.subst),
+                    {name: apply_type_subst(result.type_subst, ty) for name, ty in ctx.items()},
+                )
 
 
 def resolve(
@@ -268,17 +246,21 @@ def resolve(
     """
     search = _Search(program, defs, overrides, budget)
     query = tuple(query)
-    query_vars = [name for g in query for name in free_vars(g)]
-    found = search.run(query, {}, {}, 0)
+    query_vars = dict.fromkeys(name for g in query for name in free_vars(g))
+    found = search.run(query, {name: Var(name) for name in query_vars})
+    notes = search.report.branches
     if found is not None:
-        bindings = {name: found.bindings[name] for name in query_vars if name in found.bindings}
-        var_types = {
-            name: found.var_types[name] for name in query_vars if name in found.var_types
-        }
-        search.report.outcome = Yes(bindings, var_types)
-    elif search.saw_wrong:
+        answer, var_types = found
+        # a bound query variable leaves every goal, and solved form never binds
+        # a variable to a term holding it, so an entry still its variable is unbound
+        search.report.outcome = Yes(
+            {name: t for name, t in answer.items() if t != Var(name)},
+            {name: var_types[name] for name in query_vars if name in var_types},
+        )
+    elif any(n.verdict == "wrong" for n in notes):
         search.report.outcome = NoWrong()
-    elif search.budget_exceeded or search.saw_nonfinal_false or not search.saw_final_false:
+    elif search.budget_exceeded or {n.final for n in notes if n.verdict == "false"} != {True}:
+        # a false with goals still pending, or no branch ran out of goals false
         search.report.outcome = NoUnknown(budget_exceeded=search.budget_exceeded)
     else:
         search.report.outcome = NoFalse()

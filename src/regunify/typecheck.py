@@ -71,40 +71,45 @@ class _MatchState:
 
 
 def _occurs(name: str, ty: TypeExpr, st: _MatchState) -> bool:
-    ty = st.resolve(ty)
-    if isinstance(ty, TVar):
-        return ty.name == name
-    if isinstance(ty, (SymApp, CtorApp)):
-        return any(_occurs(name, a, st) for a in ty.args)
+    stack = [ty]
+    while stack:
+        ty = st.resolve(stack.pop())
+        if isinstance(ty, TVar) and ty.name == name:
+            return True
+        if isinstance(ty, (SymApp, CtorApp)):
+            stack.extend(ty.args)
     return False
 
 
 def _match(a: TypeExpr, b: TypeExpr, st: _MatchState) -> bool:
     """Unify allowing bindings only on flexible variables; everything else,
     including the rigid type variables of the candidate, acts as a constant.
+    Pairs wait on a stack, pushed in reverse, so the leftmost is matched first.
     """
-    a, b = st.resolve(a), st.resolve(b)
-    if a == b:
-        return True
-    if isinstance(a, TVar) and a.name in st.flexible:
-        if _occurs(a.name, b, st):
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        a, b = st.resolve(a), st.resolve(b)
+        if not isinstance(a, (SymApp, CtorApp)) and a == b:  # leaves alone compare by ==
+            continue
+        if isinstance(a, TVar) and a.name in st.flexible:
+            if _occurs(a.name, b, st):
+                return False
+            st.bindings[a.name] = b
+        elif isinstance(b, TVar) and b.name in st.flexible:
+            if _occurs(b.name, a, st):
+                return False
+            st.bindings[b.name] = a
+        elif (
+            isinstance(a, SymApp) and isinstance(b, SymApp) and a.symbol == b.symbol
+            or isinstance(a, CtorApp) and isinstance(b, CtorApp) and a.ctor == b.ctor
+        ):
+            if len(a.args) != len(b.args):
+                return False
+            pairs.extend(zip(reversed(a.args), reversed(b.args)))
+        else:
             return False
-        st.bindings[a.name] = b
-        return True
-    if isinstance(b, TVar) and b.name in st.flexible:
-        if _occurs(b.name, a, st):
-            return False
-        st.bindings[b.name] = a
-        return True
-    if isinstance(a, SymApp) and isinstance(b, SymApp) and a.symbol == b.symbol:
-        return len(a.args) == len(b.args) and all(
-            _match(x, y, st) for x, y in zip(a.args, b.args)
-        )
-    if isinstance(a, CtorApp) and isinstance(b, CtorApp) and a.ctor == b.ctor:
-        return len(a.args) == len(b.args) and all(
-            _match(x, y, st) for x, y in zip(a.args, b.args)
-        )
-    return False
+    return True
 
 
 def _check(ctx: Context, sig: SignatureEnv, term: Term, ty: TypeExpr, st: _MatchState) -> bool:

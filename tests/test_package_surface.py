@@ -1,4 +1,5 @@
-"""The package's surface: no dead imports, and an `__all__` that resolves.
+"""The package's surface: no dead imports, an `__all__` that resolves, and
+no recursive function beyond a shrinking list.
 
 Standard library only (`ast`), so it runs wherever the rest of the suite does.
 """
@@ -57,3 +58,56 @@ def test_unused_import_is_reported():
     )
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["b"]
+
+
+# Functions under src/ that call themselves directly, each limited by Python's
+# recursion depth (ROADMAP item 3).  The list may only shrink: a walk made
+# iterative leaves it, and a new recursive walk fails the test below.
+RECURSIVE = {
+    "constraints._gen",
+    "parser._resolve_type",
+    "pretty.pp_term",
+    "pretty.pp_type",
+    "semantics.dom_tag",
+    "semantics.eval_term",
+    "semantics.meet_tags",
+    "syntax.apply_subst",
+    "syntax.apply_type_subst",
+    "typecheck._check",
+    "typecheck.deep_resolve",
+    "typedefs._check_summand_shape",
+    "typedefs._check_symapp_arities",
+}
+
+
+def _self_calling(tree):
+    """Names of the functions that call themselves, as `f(...)` or `self.f(...)`."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                f = node.func if isinstance(node, ast.Call) else None
+                if isinstance(f, ast.Name) and f.id == fn.name or (
+                    isinstance(f, ast.Attribute) and f.attr == fn.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"
+                ):
+                    yield fn.name
+                    break
+
+
+def test_no_new_recursive_function():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _self_calling(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sorted(found - RECURSIVE) == []
+
+
+def test_self_call_is_reported():
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "class C(E):\n    def __init__(self):\n        super().__init__()\n"
+        "    def m(self, n):\n        return [self.m(k) for k in n]\n"
+        "def g():\n    return f(0)\n"
+    )
+    assert list(_self_calling(tree)) == ["f", "m"]

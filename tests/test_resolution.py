@@ -2,6 +2,7 @@
 
 from regunify import (
     Base,
+    NIL,
     Clause,
     NoFalse,
     NoUnknown,
@@ -121,6 +122,24 @@ def test_deep_recursion_hits_budget():
     assert report.outcome == NoUnknown(budget_exceeded=True)
     report = run("p :- p.", "?- p.", budget=ResolutionBudget(max_depth=5))
     assert report.outcome == NoUnknown(budget_exceeded=True)
+
+
+def test_deep_derivation_is_bounded_by_max_depth_alone():
+    # 301 derivation steps deep: the search keeps its choice points on a
+    # stack of its own, so Python's recursion limit does not cut it short
+    items = ", ".join(str(i) for i in range(300))
+    report = run(
+        "app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).",
+        f"?- app([{items}], [999], R).",
+        budget=ResolutionBudget(max_depth=10_000),
+    )
+    assert isinstance(report.outcome, Yes)
+    assert list(report.outcome.bindings) == ["R"]
+    items, rest = [], report.outcome.bindings["R"]
+    while rest != NIL:  # walked here: `==` on a 301-deep list recurses too far
+        items.append(rest.args[0])
+        rest = rest.args[1]
+    assert items == [mk_int(i) for i in [*range(300), 999]]
 
 
 def test_clause_order_first_answer_wins():

@@ -87,6 +87,7 @@ length([_|T], N) :- length(T, N1), N is N1 + 1.
         (LENGTH, "?- length(3, [a, b, c]).", "length : list(A) * int -> bool.", {}),
         ("p :- p.", "?- p.", None, {"max_steps": 10}),
         ("p :- p.", "?- p.", None, {"max_depth": 5}),
+        (APP, "?- app([0, 1, 2, 3, 4, 5], [9], R).", None, {"max_steps": 9}),
         ("r(X) :- r(f(X)).", "?- r(0).", None, {"max_depth": 6}),
         ("p(0). q(a).", "?- p(a), q(a).", None, {}),
         ("a(1). b(2).", "?- a(X), b(X).", None, {}),
@@ -99,6 +100,17 @@ length([_|T], N) :- length(T, N1), N is N1 + 1.
 def test_matches_reference_on_fixed_programs(program, query, overrides, budget):
     sig = parse_signatures(overrides) if overrides else None
     assert_same(parse_program(program), parse_query(query), sig, **budget)
+
+
+def test_bare_variable_goal():
+    # A library-built clause may hold a variable as a goal.  Bound to an atom
+    # by the head, it runs as that atom in both engines.  Left unbound, it
+    # stops `resolve` on its assertion; the reference has no such assertion
+    # and notes `no_clauses` instead, so that case is checked on its own.
+    program = [Clause(Compound("p", (Var("X"),)), (Var("X"),)), Clause(mk_atom("q"))]
+    assert assert_same(program, [Compound("p", (mk_atom("q"),))])[0][0] == "yes"
+    with pytest.raises(AssertionError, match="^goals are atoms by construction$"):
+        resolve(program, [Compound("p", (Var("Y"),))], DEFS)
 
 
 # --- hypothesis-generated programs -----------------------------------------------------

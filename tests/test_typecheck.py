@@ -20,11 +20,13 @@ from regunify import (
     is_instance,
     mk_atom,
     mk_int,
+    mk_list,
     parse_term,
     principal_typing,
     validate,
 )
 from regunify.errors import UnboundVariable
+from regunify.typecheck import _match, _MatchState
 from regunify.syntax import Bool, CtorApp, free_type_vars
 
 from reference_instance import reference_is_instance
@@ -130,6 +132,31 @@ def test_instance_is_directional():
 def test_instance_needs_same_variables():
     assert not is_instance(({"Y": INT}, lst(INT)), PRIN)
     assert not is_instance(({}, lst(INT)), PRIN)
+
+
+def test_match_occurs_check():
+    # Only scheme instances make flexible variables, and no public entry has
+    # been seen to bind one cyclically, so the matcher is checked directly.
+    st = _MatchState()
+    a, b = st.tvar(), st.tvar()
+    assert not _match(a, SymApp("pair", (INT, a)), st)
+    assert not _match(SymApp("pair", (INT, lst(lst(b)))), SymApp("pair", (INT, b)), st)
+    assert _match(a, b, st) and not _match(b, lst(a), st)  # seen through the binding
+
+
+@pytest.mark.parametrize("depth", [250, 400])
+def test_instance_of_deeply_nested_typing(depth):
+    # `X` inside `depth` one-element lists: matching and the occurs check
+    # walk explicit stacks, so the depth is not limited by Python's recursion
+    term, ground = Var("X"), INT
+    for _ in range(depth):
+        term, ground = mk_list([term]), lst(ground)
+    pt = principal_typing(term, DEFS)
+    principal, candidate = (pt.context, pt.type), ({"X": INT}, ground)
+    assert is_instance(candidate, principal)
+    assert not is_instance(principal, candidate)
+    assert reference_is_instance(candidate, principal)
+    assert not reference_is_instance(principal, candidate)
 
 
 # The names are shared by both sides, and `$t1` is what inference produces.
