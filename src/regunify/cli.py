@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .constraints import FreshSupply, TermConstraint, gen_equation, gen_term, generic_context
-from .errors import BudgetExceeded, ParseError, RegunifyError, TypeValidationError
+from .errors import BudgetExceeded, RegunifyError, TypeValidationError
 from .parser import (
     parse_context,
     parse_equation,
@@ -147,7 +147,7 @@ def _state_text(sd: dict) -> str:
 
 
 def cmd_validate(args):
-    doc = {"schema_version": SCHEMA_VERSION, "command": "validate", "file": args.file}
+    doc = {"file": args.file}
     try:
         dset = validate(parse_typedefs(_read(args.file), source=args.file))
     except TypeValidationError as e:
@@ -164,11 +164,9 @@ def cmd_validate(args):
     return EXIT_OK, doc, [f"ok: {len(doc['symbols'])} type symbols ({', '.join(doc['symbols'])})"]
 
 
-def cmd_infer(args):
-    defs = _load_defs(args.types)
-    overrides = _load_overrides(args.sig, defs)
+def cmd_infer(args, defs, overrides):
     term = parse_term(args.term, source="<term>")
-    doc = {"schema_version": SCHEMA_VERSION, "command": "infer", "term": pp_term(term)}
+    doc = {"term": pp_term(term)}
     if args.emit_constraints:
         sig = derive_signatures(defs, overrides)
         fresh = FreshSupply()
@@ -205,12 +203,9 @@ def _human_infer(doc) -> list[str]:
         c = doc["constraints"]
         lines.append(f"generic context: {_map_text(c['context'], ' : ')}")
         lines.append(f"generated type: {c['type']}")
-        lines.append(
-            "term constraints: {" + ", ".join(_c_text(x) for x in c["terms"]) + "}"
-        )
-        lines.append(
-            "type constraints: {" + ", ".join(_c_text(x) for x in c["types"]) + "}"
-        )
+        for kind in ("term", "type"):
+            inner = ", ".join(_c_text(x) for x in c[kind + "s"])
+            lines.append(f"{kind} constraints: {{{inner}}}")
     if doc["outcome"] == "wrong":
         lines.append("wrong")
         lines.append(f"clash: {doc['witness']}")
@@ -220,9 +215,7 @@ def _human_infer(doc) -> list[str]:
     return lines
 
 
-def cmd_check(args):
-    defs = _load_defs(args.types)
-    overrides = _load_overrides(args.sig, defs)
+def cmd_check(args, defs, overrides):
     sig = derive_signatures(defs, overrides)
     ctx = parse_context(_read(args.context), defs, source=args.context) if args.context else {}
     parsed = parse_equation(args.expr, source="<expr>")
@@ -239,8 +232,6 @@ def cmd_check(args):
         ok, failing = check_explain(ctx, sig, parsed, ty)
         judgment = f"{pp_term(parsed)} : {pp_type(ty)}"
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
         "judgment": judgment,
         "context": {name: pp_type(t) for name, t in ctx.items()},
         "ok": ok,
@@ -254,15 +245,13 @@ def cmd_check(args):
     return (EXIT_OK if ok else EXIT_FALSE), doc, lines
 
 
-def cmd_unify(args):
-    defs = _load_defs(args.types)
-    overrides = _load_overrides(args.sig, defs)
+def cmd_unify(args, defs, overrides):
     lhs = parse_term(args.left, source="<left>")
     rhs = parse_term(args.right, source="<right>")
     run = typed_unify(
         lhs, rhs, defs, overrides=overrides, trace=args.trace, max_steps=args.max_steps
     )
-    doc = {"schema_version": SCHEMA_VERSION, "command": "unify", "steps": run.steps}
+    doc = {"steps": run.steps}
     if args.trace:
         doc["initial"] = _state_doc(run.initial)
         doc["trace"] = [
@@ -315,39 +304,28 @@ def _human_unify(doc) -> list[str]:
     return lines
 
 
-_RUN_TEXT = {
-    Yes: "yes",
-    NoFalse: "no(false)",
-    NoWrong: "no(wrong)",
-    NoUnknown: "no(?)",
-}
-
-_RUN_EXIT = {
-    "yes": EXIT_OK,
-    "no(false)": EXIT_FALSE,
-    "no(wrong)": EXIT_WRONG,
-    "no(?)": EXIT_UNKNOWN,
+_RUN_OUTCOME = {  # outcome type -> (text, exit code)
+    Yes: ("yes", EXIT_OK),
+    NoFalse: ("no(false)", EXIT_FALSE),
+    NoWrong: ("no(wrong)", EXIT_WRONG),
+    NoUnknown: ("no(?)", EXIT_UNKNOWN),
 }
 
 
-def cmd_run(args):
-    defs = _load_defs(args.types)
-    overrides = _load_overrides(args.sig, defs)
+def cmd_run(args, defs, overrides):
     program = parse_program(_read(args.program), source=args.program)
     query = parse_query(args.query, source="<query>")
     budget = ResolutionBudget(max_steps=args.max_steps or ResolutionBudget().max_steps)
     report = resolve(program, query, defs, overrides=overrides, budget=budget)
     doc = _run_doc(report, args.trace)
-    return _RUN_EXIT[doc["outcome"]], doc, _human_run(doc)
+    return _RUN_OUTCOME[type(report.outcome)][1], doc, _human_run(doc)
 
 
 def _run_doc(report, trace: bool) -> dict:
     """The `run` document of a resolve report, with its branches if traced."""
     outcome = report.outcome
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run",
-        "outcome": _RUN_TEXT[type(outcome)],
+        "outcome": _RUN_OUTCOME[type(outcome)][0],
         "steps": report.steps,
         "budget_exceeded": isinstance(outcome, NoUnknown) and outcome.budget_exceeded,
         "bindings": None,
@@ -392,9 +370,8 @@ def _human_run(doc) -> list[str]:
     return lines
 
 
-def cmd_oracle(args):
-    defs = _load_defs(args.types)
-    sig = derive_signatures(defs).with_function("f", 1)
+def cmd_oracle(args, defs, overrides):
+    sig = derive_signatures(defs, overrides).with_function("f", 1)
     pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
     terms = list(enumerate_ground_terms(sig, args.depth, pool))
     pairs = stratified_pairs(terms, max_pairs=args.limit, seed=args.seed)
@@ -412,8 +389,6 @@ def cmd_oracle(args):
                 {"left": pp_term(t1), "right": pp_term(t2), "solver": got, "semantics": want}
             )
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
         "depth": args.depth,
         "terms": len(terms),
         "pairs": len(pairs),
@@ -432,9 +407,7 @@ def cmd_oracle(args):
     return (EXIT_OK if not mismatches else EXIT_INTERNAL), doc, lines
 
 
-def cmd_repl(args):
-    defs = _load_defs(args.types)
-    overrides = _load_overrides(args.sig, defs)
+def cmd_repl(args, defs, overrides):
     program = []
     out = sys.stdout
     print("one statement per line: fact/rule to assert, t1 = t2, or ?- goals.", file=out)
@@ -462,7 +435,7 @@ def cmd_repl(args):
             lines = [f"error: {e}"]
         for ln in lines:
             print(ln, file=out)
-    return EXIT_OK
+    return EXIT_OK, {}, []
 
 
 # --- driver ----------------------------------------------------------------------
@@ -532,9 +505,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.fn is cmd_repl:
-            return cmd_repl(args)
-        code, doc, lines = args.fn(args)
+        if "types" in vars(args):  # type definitions first, then the overrides
+            defs = _load_defs(args.types)
+            overrides = _load_overrides(getattr(args, "sig", None), defs)
+            code, doc, lines = args.fn(args, defs, overrides)
+        else:
+            code, doc, lines = args.fn(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -543,7 +519,7 @@ def main(argv=None) -> int:
         # it is an internal failure, not bad input
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, TypeValidationError, RegunifyError, OSError) as e:
+    except (RegunifyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except AssertionError as e:
@@ -553,6 +529,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     if getattr(args, "json", False):
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.cmd, **doc}
         print(json.dumps(doc, indent=2))
     else:
         for line in lines:

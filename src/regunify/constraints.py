@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .errors import UnboundVariable
 from .syntax import (
-    Compound,
     Const,
     FuncType,
     TVar,
@@ -145,20 +144,14 @@ def gen_equation(
     return ConstraintState(terms=(TermConstraint(lhs, rhs),), types=tuple(type_cs))
 
 
-def gen_atom(
-    ctx: Context, sig: SignatureEnv, atom: Term, fresh: FreshSupply
-) -> list[TypeConstraint]:
-    """Type constraints of a predicate application (a goal or clause head).
-
-    The atom itself has type bool; each argument's type is constrained by the
-    predicate's domain type.  Zero-arity atoms contribute nothing.
+def gen_pair(
+    ctx: Context, sig: SignatureEnv, lhs: Term, rhs: Term, fresh: FreshSupply, out
+) -> TypeConstraint:
+    """The type constraints `gen_equation` makes for lhs = rhs, in its order,
+    appended to `out`; the last, the equality of the two types, is returned.
+    `gen_equation` does not call this: the extra frame would cost it a level
+    of term depth.
     """
-    if isinstance(atom, Const):
-        return []
-    assert isinstance(atom, Compound)
-    ft = instantiate(sig.lookup_predicate(atom.functor, atom.arity), fresh)
-    assert isinstance(ft, FuncType) and len(ft.domain) == atom.arity
-    type_cs: list[TypeConstraint] = []
-    arg_tys = [_gen(ctx, sig, arg, fresh, type_cs) for arg in atom.args]
-    type_cs.extend(map(TypeConstraint, arg_tys, ft.domain))
-    return type_cs
+    eq = TypeConstraint(_gen(ctx, sig, lhs, fresh, out), _gen(ctx, sig, rhs, fresh, out))
+    out.append(eq)
+    return eq

@@ -33,7 +33,7 @@ class TypeValidationError(RegunifyError):
 
 
 class UnknownSymbol(RegunifyError):
-    """Symbol not present in the signature environment and defaults are off."""
+    """A type symbol is undefined or used at the wrong arity (`semantics.member`)."""
 
 
 class ArityMismatch(RegunifyError):

@@ -145,7 +145,18 @@ class _Parser:
             self.advance()
         self.expect("EOF", "end of input")
 
+    def sep(self, parse_one, kind: str) -> list:
+        """One or more items read by `parse_one`, separated by `kind` tokens."""
+        items = [parse_one()]
+        while self.at(kind):
+            self.advance()
+            items.append(parse_one())
+        return items
+
     # -- terms --
+
+    # `term`, `paren_args` and `list_term` recurse through each other once per
+    # nesting level, so they keep their own loops: `sep` would add frames.
 
     def term(self) -> Term:
         left = self.primary()
@@ -235,11 +246,7 @@ class _Parser:
         return left
 
     def goals(self) -> tuple[Term, ...]:
-        out = [self.goal()]
-        while self.at("COMMA"):
-            self.advance()
-            out.append(self.goal())
-        return tuple(out)
+        return tuple(self.sep(self.goal, "COMMA"))
 
     def clause(self):
         from .resolution import Clause
@@ -283,21 +290,13 @@ class _Parser:
 
     def typedef(self) -> TypeDef:
         head = self.expect("ATOM", "type symbol")
-        params: list[str] = []
+        params: tuple[str, ...] = ()
         if self.at("LPAREN"):
-            self.expect("LPAREN")
-            params.append(self.expect("VAR", "type parameter").value)
-            while self.at("COMMA"):
-                self.advance()
-                params.append(self.expect("VAR", "type parameter").value)
-            self.expect("RPAREN")
+            params = self.paren_args(lambda: self.expect("VAR", "type parameter").value)
         self.expect("ARROW2", "'-->'")
-        summands = [self.raw_type()]
-        while self.at("PLUS"):
-            self.advance()
-            summands.append(self.raw_type())
+        summands = self.sep(self.raw_type, "PLUS")
         self.expect("DOT", "'.' at end of definition")
-        return TypeDef(head.value, tuple(params), tuple(summands))
+        return TypeDef(head.value, params, tuple(summands))
 
 
 _RESERVED_TYPE_NAMES = set(BASE_KINDS) | {"bool"}
@@ -427,10 +426,7 @@ def parse_signatures(
         p.advance()
         name = tok.value if tok.kind == "ATOM" else _unescape(tok.value[1:-1])
         p.expect("COLON", "':'")
-        parts = [_resolve_type(p.raw_type(), symbols)]
-        while p.at("STAR"):
-            p.advance()
-            parts.append(_resolve_type(p.raw_type(), symbols))
+        parts = p.sep(lambda: _resolve_type(p.raw_type(), symbols), "STAR")
         codomain: TypeExpr | None = None
         if p.at("ARROW"):
             p.advance()

@@ -31,7 +31,7 @@ from .constraints import (
     TermConstraint,
     TypeConstraint,
     gen_equation,
-    gen_term,
+    gen_pair,
     generic_context,
 )
 from .solver import Solved, SolveFalse, SolveWrong, solve
@@ -151,27 +151,23 @@ class _Search:
         self.budget_exceeded = False
 
     def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> ConstraintState:
-        """Argument-wise typed unification of a goal with a clause head.
-
-        Both atoms instantiate the predicate's scheme independently, so the
-        declared signature constrains the goal's arguments and the head's.
+        """Argument-wise typed unification of a goal with a clause head: one
+        equation per argument pair, then the pairs' types against the
+        predicate's domain, the goal's first.  Both atoms instantiate the
+        predicate's scheme independently, so the declared signature
+        constrains the goal's arguments and the head's.
         """
         scheme = self.sig.lookup_predicate(goal.functor, goal.arity)  # the head's too
         goal_ft, head_ft = instantiate(scheme, self.fresh), instantiate(scheme, self.fresh)
         assert isinstance(goal_ft, FuncType) and isinstance(head_ft, FuncType)
         term_cs: list[TermConstraint] = []
         type_cs: list[TypeConstraint] = []
-        goal_tys: list[TypeExpr] = []
-        head_tys: list[TypeExpr] = []
+        pairs: list[TypeConstraint] = []  # each pair's goal type = head type
         for g_arg, h_arg in zip(goal.args, head.args):
-            g_ty, _, g_cs = gen_term(ctx, self.sig, g_arg, self.fresh)
-            h_ty, _, h_cs = gen_term(ctx, self.sig, h_arg, self.fresh)
-            type_cs += g_cs + h_cs + [TypeConstraint(g_ty, h_ty)]
-            goal_tys.append(g_ty)
-            head_tys.append(h_ty)
             term_cs.append(TermConstraint(g_arg, h_arg))
-        type_cs += [TypeConstraint(ty, d) for ty, d in zip(goal_tys, goal_ft.domain)]
-        type_cs += [TypeConstraint(ty, d) for ty, d in zip(head_tys, head_ft.domain)]
+            pairs.append(gen_pair(ctx, self.sig, g_arg, h_arg, self.fresh, type_cs))
+        type_cs += [TypeConstraint(p.lhs, d) for p, d in zip(pairs, goal_ft.domain)]
+        type_cs += [TypeConstraint(p.rhs, d) for p, d in zip(pairs, head_ft.domain)]
         return ConstraintState(tuple(term_cs), tuple(type_cs))
 
     def run(self, goals, answer: Subst) -> Optional[tuple[Subst, Context]]:

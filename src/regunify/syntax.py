@@ -27,9 +27,10 @@ class SourceSpan:
 
 # --- terms -----------------------------------------------------------------
 
-# Literal kinds a constant can carry.  Atoms cover both plain atoms and the
-# list terminator "[]".
-CONST_KINDS = ("int", "float", "string", "atom")
+# Literal kinds a constant can carry, which are also the base type names: a
+# literal is typed by its kind.  Atoms cover both plain atoms and the list
+# terminator "[]".
+BASE_KINDS = ("int", "float", "string", "atom")
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class Const:
     span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        if self.kind not in CONST_KINDS:
+        if self.kind not in BASE_KINDS:
             raise ValueError(f"bad constant kind {self.kind!r}")
 
 
@@ -99,8 +100,6 @@ def mk_list(items, tail: Term = NIL) -> Term:
 
 
 # --- type expressions ------------------------------------------------------
-
-BASE_KINDS = ("int", "float", "string", "atom")
 
 # Suffix marking the implicit type symbol that types an undeclared functor.
 # The parser never accepts it in identifiers, so these names cannot collide
@@ -222,13 +221,6 @@ def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:
     if isinstance(ty, SymApp):
         return SymApp(ty.symbol, tuple(apply_type_subst(subst, a) for a in ty.args))
     return CtorApp(ty.ctor, tuple(apply_type_subst(subst, a) for a in ty.args))
-
-
-def apply_type_subst_func(subst: TypeSubst, ft: FuncType) -> FuncType:
-    return FuncType(
-        tuple(apply_type_subst(subst, d) for d in ft.domain),
-        apply_type_subst(subst, ft.codomain),
-    )
 
 
 def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:

@@ -37,7 +37,7 @@ from .syntax import (
     TypeExpr,
     TypeScheme,
     apply_type_subst,
-    apply_type_subst_func,
+    free_ctor_functor,
     free_ctor_symbol,
     free_type_vars,
 )
@@ -107,8 +107,6 @@ class TypeDefSet:
 
     def lookup_free(self, symbol: str, arity: int) -> TypeDef | None:
         """Implicit definition backing a free-constructor type symbol."""
-        from .syntax import free_ctor_functor
-
         functor = free_ctor_functor(symbol)
         if functor is None:
             return None
@@ -323,6 +321,10 @@ def derive_signatures(defs: TypeDefSet, overrides: SignatureEnv | None = None) -
 def instantiate(scheme: TypeScheme, fresh) -> TypeExpr | FuncType:
     """Replace the scheme's generics with variables from the fresh supply."""
     mapping = {g: fresh.tvar() for g in scheme.generics}
-    if isinstance(scheme.body, FuncType):
-        return apply_type_subst_func(mapping, scheme.body)
-    return apply_type_subst(mapping, scheme.body)
+    body = scheme.body
+    if isinstance(body, FuncType):
+        return FuncType(  # a list, not a generator, is the faster way to a short tuple
+            tuple([apply_type_subst(mapping, d) for d in body.domain]),
+            apply_type_subst(mapping, body.codomain),
+        )
+    return apply_type_subst(mapping, body)

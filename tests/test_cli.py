@@ -244,6 +244,27 @@ def test_oracle_small(capsys):
 # --- environment, errors, plumbing --------------------------------------------------
 
 
+def test_every_json_document_starts_with_schema_version_and_command(tmp_path, capsys):
+    program, sig = _write_length(tmp_path)
+    tree = tmp_path / "tree.t"
+    tree.write_text("tree(A) --> leaf(A) + node(tree(A), tree(A)).\n")
+    calls = [
+        ["validate", str(tree)],
+        ["infer", "leaf(X)", "--types", str(tree), "--emit-constraints"],
+        ["check", "cons(1, [])", "list(int)"],
+        ["unify", "cons(X,[])", "cons(1,Y)", "--trace"],
+        ["unify", "cons(1, 2)", "X"],
+        ["run", program, "-q", "?- length([a], N).", "--sig", sig, "--trace"],
+        ["oracle", "--depth", "1", "--limit", "20"],
+    ]
+    for argv in calls:
+        _, out, _ = cli(capsys, *argv, "--json")
+        pairs = json.loads(out, object_pairs_hook=list)  # keeps key order and repeats
+        keys = [key for key, _ in pairs]
+        assert pairs[:2] == [("schema_version", 1), ("command", argv[0])], argv
+        assert len(keys) == len(set(keys)), argv
+
+
 def test_types_env_variable(tmp_path, capsys, monkeypatch):
     f = tmp_path / "tree.t"
     f.write_text("tree(A) --> leaf(A) + node(tree(A), tree(A)).\n")

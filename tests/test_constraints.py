@@ -16,13 +16,11 @@ from regunify import (
     Var,
     derive_signatures,
     enumerate_ground_terms,
-    gen_atom,
     gen_equation,
     gen_term,
     generic_context,
     mk_atom,
     mk_int,
-    parse_signatures,
     parse_term,
     validate,
 )
@@ -131,28 +129,6 @@ def test_side_instances_disjoint(defs, sig):
     for c in state.types[2:4]:
         tvars(c.lhs, rhs_vars), tvars(c.rhs, rhs_vars)
     assert not (lhs_vars - {"$X"}) & (rhs_vars - {"$Y"})
-
-
-def test_atom_constraints(defs):
-    over = parse_signatures("p : int * list(int) -> bool.")
-    sig = derive_signatures(defs, over)
-    fresh = FreshSupply()
-    atom = parse_term("p(1, X)")
-    cs = gen_atom({"X": TVar("$X")}, sig, atom, fresh)
-    assert cs == [
-        TypeConstraint(Base("int"), Base("int")),
-        TypeConstraint(TVar("$X"), lst(Base("int"))),
-    ]
-    assert gen_atom({}, sig, mk_atom("stop"), fresh) == []
-
-
-def test_atom_polymorphic_instance(defs):
-    over = parse_signatures("same : A * A -> bool.")
-    sig = derive_signatures(defs, over)
-    cs = gen_atom({"X": TVar("$X"), "Y": TVar("$Y")}, sig, parse_term("same(X, Y)"), FreshSupply())
-    assert len(cs) == 2
-    assert cs[0].rhs == cs[1].rhs  # both arguments meet the same instance variable
-    assert isinstance(cs[0].rhs, TVar) and cs[0].rhs.name.startswith("$")
 
 
 def test_term_walk_never_emits_term_constraints(defs, sig):

@@ -24,6 +24,7 @@ from regunify import (
     parse_equation,
     parse_program,
     parse_query,
+    parse_signatures,
     parse_term,
     parse_type,
     parse_typedefs,
@@ -127,6 +128,41 @@ def test_parse_context(defs):
 
 def test_comments_ignored():
     assert parse_term("% nothing\n f(X) % trailing\n") == Compound("f", (Var("X"),))
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # one malformed input per "item (separator item)*" construct
+        (parse_term, "1 +", "<term>:1:4: unexpected end of input"),
+        (parse_term, "f(1,)", "<term>:1:5: expected a term, found ')'"),
+        (parse_term, "f(1 2)", "<term>:1:5: expected RPAREN, found '2'"),
+        (parse_term, "[1,]", "<term>:1:4: expected a term, found ']'"),
+        (parse_query, "p(1),", "<query>:1:6: unexpected end of input"),
+        (parse_typedefs, "t(A,) --> a.", "<types>:1:5: expected type parameter, found ')'"),
+        (parse_typedefs, "t(A, b) --> a.", "<types>:1:6: expected type parameter, found 'b'"),
+        (parse_typedefs, "t --> a +.", "<types>:1:10: expected a type, found '.'"),
+        (parse_signatures, "p : int * -> bool.", "<signatures>:1:11: expected a type, found '->'"),
+        # each part resolves as soon as it is read, before the next is parsed
+        (parse_signatures, "p : bool(int) * ) -> bool.", "<signatures>:1:5: bool takes no arguments"),
+        (parse_type, "list(int,)", "<type>:1:10: expected a type, found ')'"),
+    ],
+)
+def test_separated_list_errors(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("open_, close", [("f(", ")"), ("[", "]")])
+def test_deeply_nested_term_parses(open_, close):
+    # about as deep as `pp_term` prints; the term recursion of the parser
+    # must not grow by a frame per level
+    t = parse_term(open_ * 300 + "a" + close * 300)
+    for _ in range(300):
+        assert isinstance(t, Compound)
+        t = t.args[0]
+    assert t == Const("a", "atom")
 
 
 # --- printing ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from regunify import (
     NoWrong,
     ResolutionBudget,
     SymApp,
+    TVar,
     Var,
     Yes,
     apply_subst,
@@ -115,6 +116,18 @@ def test_well_typed_query_threads_bindings():
     assert report.outcome == NoUnknown(budget_exceeded=False)
     vias = {n.via for n in report.branches}
     assert "no_clauses" in vias  # the `is` goal was reached and had no clauses
+
+
+def test_polymorphic_signature_shares_one_instance_across_arguments():
+    # `A * A`: both arguments of a goal meet one instance of A, so they must
+    # agree in type; the default signature gives each argument its own
+    same = parse_signatures("same : A * A -> bool.")
+    assert run("same(X, Y).", "?- same(1, a).", overrides=same).outcome == NoWrong()
+    assert isinstance(run("same(X, Y).", "?- same(1, a).").outcome, Yes)
+    assert run("same(X, Y).", "?- same(1, Z).", overrides=same).outcome.var_types == {
+        "Z": Base("int")
+    }
+    assert isinstance(run("same(X, Y).", "?- same(1, Z).").outcome.var_types["Z"], TVar)
 
 
 def test_deep_recursion_hits_budget():

@@ -20,6 +20,7 @@ from regunify import (
     ResolutionBudget,
     Var,
     Yes,
+    generic_context,
     mk_atom,
     mk_int,
     mk_string,
@@ -30,6 +31,9 @@ from regunify import (
     validate,
 )
 
+from regunify.resolution import _Search
+
+from reference_resolution import _Search as _ReferenceSearch
 from reference_resolution import reference_resolve
 
 DEFS = validate(())
@@ -168,3 +172,35 @@ def test_matches_reference_on_random_programs():
 
     check()
     assert seen >= {"yes", "no_false", "no_wrong", "no_unknown:True", "no_unknown:False"}
+
+
+# --- the constraint state of one clause try ---------------------------------------------
+
+
+@st.composite
+def _goal_head_pairs(draw):
+    """A goal and a head of one predicate: `p` and `q` may carry overrides, `r` never."""
+    name, arity = draw(st.sampled_from([("p", 1), ("q", 2), ("r", 3)]))
+    return tuple(Compound(name, tuple(draw(_TERMS) for _ in range(arity))) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=_goal_head_pairs(),
+    overrides=st.sampled_from([None, OVERRIDES]),
+    start=st.integers(0, 40),
+)
+def test_unify_args_builds_the_reference_state(pair, overrides, start):
+    """From the same point of the fresh supply, a clause try's constraints,
+    their order and every fresh name match the reference's, and both supplies
+    end at the same point.
+    """
+    goal, head = pair
+    search = _Search((), DEFS, overrides, ResolutionBudget())
+    reference = _ReferenceSearch((), DEFS, overrides, 10_000, 200)
+    for supply in (search.fresh, reference.fresh):
+        for _ in range(start):
+            supply.tvar()
+    ctx = generic_context((goal, head), search.fresh)
+    assert search.unify_args(ctx, goal, head) == reference.unify_args(ctx, goal, head)
+    assert search.fresh.tvar() == reference.fresh.tvar()
