@@ -27,7 +27,14 @@ import os
 import sys
 from pathlib import Path
 
-from .constraints import FreshSupply, TermConstraint, gen_equation, gen_term, generic_context
+from .constraints import (
+    ConstraintState,
+    FreshSupply,
+    TermConstraint,
+    TypeConstraint,
+    gen_term,
+    generic_context,
+)
 from .errors import BudgetExceeded, RegunifyError, TypeValidationError
 from .parser import (
     parse_context,
@@ -48,13 +55,7 @@ from .resolution import (
     Yes,
     resolve,
 )
-from .semantics import (
-    LiteralPool,
-    enumerate_ground_terms,
-    eq_values,
-    eval_term,
-    stratified_pairs,
-)
+from .semantics import LiteralPool, eq_values, eval_term, sample_ground_terms
 from .solver import (
     Solved,
     SolveFalse,
@@ -371,27 +372,33 @@ def _human_run(doc) -> list[str]:
 
 
 def cmd_oracle(args, defs, overrides):
+    if args.limit < 0:
+        raise _UsageError(f"argument --limit: must be at least 0, got {args.limit}")
     sig = derive_signatures(defs, overrides).with_function("f", 1)
     pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
-    terms = list(enumerate_ground_terms(sig, args.depth, pool))
-    pairs = stratified_pairs(terms, max_pairs=args.limit, seed=args.seed)
-    kept = {id(t): t for t, _ in pairs}
-    value_of = {key: eval_term(t) for key, t in kept.items()}
+    n_terms, kept = sample_ground_terms(sig, args.depth, pool, max_pairs=args.limit, seed=args.seed)
+    # each kept term is typed once per side, from one supply, so the two
+    # sides of a pair never share a variable: every pair's state is the
+    # one `gen_equation` builds, up to the names of its type variables
+    fresh = FreshSupply()
+    values = [eval_term(t) for t in kept]
+    lefts = [gen_term({}, sig, t, fresh) for t in kept]
+    rights = [gen_term({}, sig, t, fresh) for t in kept]
     verdict_of = {Solved: "true", SolveFalse: "false", SolveWrong: "wrong"}
     mismatches = []
-    for t1, t2 in pairs:
-        fresh = FreshSupply()
-        state = gen_equation({}, sig, t1, t2, fresh)
-        got = verdict_of[type(solve(state).result)]
-        want = eq_values(value_of[id(t1)], value_of[id(t2)])
-        if got != want:
-            mismatches.append(
-                {"left": pp_term(t1), "right": pp_term(t2), "solver": got, "semantics": want}
-            )
+    for t1, v1, (ty1, _, cs1) in zip(kept, values, lefts):
+        for t2, v2, (ty2, _, cs2) in zip(kept, values, rights):
+            types = (*cs1, *cs2, TypeConstraint(ty1, ty2))
+            got = verdict_of[type(solve(ConstraintState((TermConstraint(t1, t2),), types)).result)]
+            want = eq_values(v1, v2)
+            if got != want:
+                mismatches.append(
+                    {"left": pp_term(t1), "right": pp_term(t2), "solver": got, "semantics": want}
+                )
     doc = {
         "depth": args.depth,
-        "terms": len(terms),
-        "pairs": len(pairs),
+        "terms": n_terms,
+        "pairs": len(kept) ** 2,
         "mismatch_count": len(mismatches),
         "mismatches": mismatches[:10],
     }

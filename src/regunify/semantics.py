@@ -316,6 +316,17 @@ class LiteralPool:
 DEFAULT_POOL = LiteralPool()
 
 
+def _leaves(sig: SignatureEnv, pool: LiteralPool) -> list[Term]:
+    """The depth-0 terms, in enumeration order, each once."""
+    leaves: list[Term] = []
+    leaves += [Const(n, "int") for n in pool.ints]
+    leaves += [Const(x, "float") for x in pool.floats]
+    leaves += [Const(s, "string") for s in pool.strings]
+    leaves += [Const(a, "atom") for a in pool.atoms]
+    leaves += [Const(name, "atom") for name in sorted(sig.constants)]
+    return list(dict.fromkeys(leaves))
+
+
 def enumerate_ground_terms(
     sig: SignatureEnv,
     depth: int,
@@ -326,16 +337,10 @@ def enumerate_ground_terms(
     pool, up to the given constructor-application depth, each exactly once.
     Depth 0 yields just the leaves.  Raises BudgetExceeded past max_terms.
     """
-    leaves: list[Term] = []
-    leaves += [Const(n, "int") for n in pool.ints]
-    leaves += [Const(x, "float") for x in pool.floats]
-    leaves += [Const(s, "string") for s in pool.strings]
-    leaves += [Const(a, "atom") for a in pool.atoms]
-    leaves += [Const(name, "atom") for name in sorted(sig.constants)]
     functions = sorted(sig.functions)
 
     produced = 0
-    levels: list[list[Term]] = [list(dict.fromkeys(leaves))]
+    levels: list[list[Term]] = [_leaves(sig, pool)]
     for t in levels[0]:
         produced += 1
         if produced > max_terms:
@@ -360,6 +365,19 @@ def enumerate_ground_terms(
         levels.append(level)
 
 
+def _deep_sample(n_shallow: int, n_deep: int, max_pairs: int, seed: int) -> range:
+    """Positions, among the deep terms, of those a sweep keeps: enough to
+    bring the kept terms to about sqrt(max_pairs), evenly strided, with the
+    seed shifting the stride phase.
+    """
+    keep = max(n_shallow + 1, math.isqrt(max_pairs))
+    extra = keep - n_shallow
+    if not n_deep or extra <= 0:
+        return range(0)
+    stride = max(1, n_deep // extra)
+    return range(seed % stride, n_deep, stride)[:extra]
+
+
 def stratified_pairs(terms, max_pairs: int = 10_000, seed: int = 0):
     """Deterministic all-pairs subset for equivalence sweeps.
 
@@ -373,11 +391,76 @@ def stratified_pairs(terms, max_pairs: int = 10_000, seed: int = 0):
     for t in terms:  # deeper than 1 exactly when some argument is a compound
         nested = any(isinstance(a, Compound) for a in getattr(t, "args", ()))
         (deep if nested else shallow).append(t)
-    keep = max(len(shallow) + 1, math.isqrt(max_pairs))
-    extra = keep - len(shallow)
-    out = list(shallow)
-    if deep and extra > 0:
-        stride = max(1, len(deep) // extra)
-        out += deep[seed % stride :: stride][:extra]
+    out = shallow + [deep[i] for i in _deep_sample(len(shallow), len(deep), max_pairs, seed)]
     return [(a, b) for a in out for b in out]
 
+
+def sample_ground_terms(
+    sig: SignatureEnv,
+    depth: int,
+    pool: LiteralPool = DEFAULT_POOL,
+    max_pairs: int = 10_000,
+    seed: int = 0,
+    max_terms: int = 10**6,
+) -> tuple[int, list[Term]]:
+    """(count, kept): how many terms `enumerate_ground_terms` yields, and the
+    terms whose pairs `stratified_pairs` forms from them, in the same order.
+
+    Only the levels below the deepest are built.  A level's size follows
+    from the sizes below it, so the budget is checked before anything is
+    built, and the kept terms of the deepest level are built from their
+    positions in it (unranked, as in Feat: Duregård, Jansson & Wang,
+    Haskell 2012).
+    """
+    functions = sorted(sig.functions)
+    d = max(depth, 0)
+    # below[k]: the number of terms of depth < k.  A term at depth k has
+    # at least one argument at depth k - 1, so f/a adds N**a - B**a of them
+    # with N = below[k] and B = below[k - 1].
+    below = [0, len(_leaves(sig, pool))]
+    # stop at the budget: a level's count has about twice the digits of the last
+    while len(below) < d + 2 and below[-1] <= max_terms:
+        n, b = below[-1], below[-2]
+        below.append(n + sum(n**a - b**a for _, a in functions))
+    if below[-1] > max_terms:
+        raise BudgetExceeded(f"enumeration exceeded {max_terms} terms")
+    count = below[-1]
+    n_shallow = below[min(d, 1) + 1]
+    kept = list(range(n_shallow))
+    kept += [n_shallow + i for i in _deep_sample(n_shallow, count - n_shallow, max_pairs, seed)]
+
+    built = list(enumerate_ground_terms(sig, max(d - 1, 0), pool))
+    n, b = len(built), below[d - 1]
+    return count, [built[k] if k < n else _unrank(k - n, built, b, functions) for k in kept]
+
+
+def _unrank(rank: int, lower: list[Term], b: int, functions) -> Term:
+    """The term at `rank` in the level that `enumerate_ground_terms` builds
+    over `lower`, the terms of the levels under it, of which the first `b`
+    lie under the level just beneath it.  Functors come in sorted order, and
+    each one's argument tuples in `itertools.product` order, keeping those
+    with at least one argument from that level (positions b and on).
+    """
+    n = len(lower)
+    for functor, arity in functions:
+        size = n**arity - b**arity
+        if rank >= size:
+            rank -= size
+            continue
+        args = []
+        need = True  # no argument so far comes from the level beneath
+        for rest in range(arity - 1, -1, -1):
+            block = n**rest  # tuples after each choice of this argument
+            if need:
+                low = block - b**rest  # the rest must still supply one
+                if rank < b * low:
+                    j, rank = divmod(rank, low)
+                else:
+                    j, rank = divmod(rank - b * low, block)
+                    j += b
+                    need = False
+            else:
+                j, rank = divmod(rank, block)
+            args.append(lower[j])
+        return Compound(functor, tuple(args))
+    raise IndexError("rank beyond the level")

@@ -241,6 +241,78 @@ def test_oracle_small(capsys):
     assert lines[2] == "mismatches: 0"
 
 
+def test_oracle_depth2_and_depth3(capsys):
+    # depth 3 has 365 424 terms, of which 24 shallow and 76 deep are kept
+    for depth, terms in (("2", 604), ("3", 365_424)):
+        code, out, _ = cli(capsys, "oracle", "--depth", depth, "--limit", "1600", "--seed", "3")
+        assert (code, out) == (0, f"terms: {terms}\npairs: 1600\nmismatches: 0\n")
+        code, out, _ = cli(capsys, "oracle", "--depth", depth, "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["depth"], doc["terms"], doc["pairs"]) == (int(depth), terms, 10_000)
+        assert (doc["mismatch_count"], doc["mismatches"]) == (0, [])
+
+
+def test_oracle_states_match_per_pair_generation(capsys, monkeypatch):
+    """Each term typed once per side gives every pair the state that
+    `gen_equation` builds, up to type variable names: the same steps, rules
+    and verdict on every pair of a depth-2 sweep.
+    """
+    from regunify import cli as cli_mod
+    from regunify.constraints import FreshSupply, gen_equation
+    from regunify.semantics import (
+        LiteralPool,
+        enumerate_ground_terms,
+        stratified_pairs,
+    )
+    from regunify.solver import solve
+
+    runs = []
+
+    def recording_solve(state):
+        run = solve(state, trace=True)
+        runs.append((state, run))
+        return run
+
+    monkeypatch.setattr(cli_mod, "solve", recording_solve)
+    code, out, _ = cli(capsys, "oracle", "--depth", "2", "--limit", "4225", "--seed", "5")
+    assert (code, out.splitlines()[1]) == (0, "pairs: 4225")
+
+    sig = cli_mod.derive_signatures(cli_mod.validate(())).with_function("f", 1)
+    pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
+    pairs = stratified_pairs(list(enumerate_ground_terms(sig, 2, pool)), max_pairs=4225, seed=5)
+    assert [(s.terms[0].lhs, s.terms[0].rhs) for s, _ in runs] == pairs
+    for state, run in runs:
+        t1, t2 = state.terms[0].lhs, state.terms[0].rhs
+        ref_state = gen_equation({}, sig, t1, t2, FreshSupply())
+        ref = solve(ref_state, trace=True)
+        assert _canonical_types(state.types) == _canonical_types(ref_state.types), (t1, t2)
+        assert (run.steps, type(run.result)) == (ref.steps, type(ref.result)), (t1, t2)
+        assert [s.rule for s in run.trace] == [s.rule for s in ref.trace], (t1, t2)
+
+
+def _canonical_types(types):
+    """Type constraints as text, each type variable renamed to the order of
+    its first occurrence: equal exactly when equal up to variable names.
+    """
+    from regunify.pretty import pp_type
+
+    text = "; ".join(f"{pp_type(c.lhs)} = {pp_type(c.rhs)}" for c in types)
+    names = {}
+    return re.sub(r"\$t\d+", lambda m: names.setdefault(m.group(), f"#{len(names)}"), text)
+
+
+def test_oracle_over_budget_depth_is_refused_at_once(capsys):
+    code, out, err = cli(capsys, "oracle", "--depth", "4")
+    assert (code, out, err) == (70, "", "internal error: enumeration exceeded 1000000 terms\n")
+
+
+def test_oracle_negative_limit_is_a_usage_error(capsys):
+    code, out, err = cli(capsys, "oracle", "--limit", "-5")
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: argument --limit:") and err.count("\n") == 1
+
+
 # --- environment, errors, plumbing --------------------------------------------------
 
 

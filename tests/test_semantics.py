@@ -26,6 +26,7 @@ from regunify import (
     mk_list,
     member,
     parse_term,
+    parse_typedefs,
     parse_type,
     stratified_pairs,
     validate,
@@ -42,6 +43,7 @@ from regunify.semantics import (
     dom_tag,
     domains_intersect,
     mk_cons,
+    sample_ground_terms,
 )
 
 
@@ -201,6 +203,64 @@ def test_stratified_pairs_deterministic(defs):
     # the cartesian square of the kept sample, every shallow term included
     assert len(p1) == len(kept) ** 2
     assert all(t in kept for t in terms if term_depth(t) <= 1)
+
+
+# --- the sweep sampler against the full enumeration -------------------------------
+
+_SWEEP_POOL = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
+_SWEEP_LIMITS = (0, 1, 1600, 4225, 10_000, 10**6)
+# 6/7, 13/14 and 35/36 sit at the strides of depth-2 sweeps (limits 10 000,
+# 4225 and 1600), 4806/4807 at that of a depth-3 sweep of 10 000 pairs
+_SWEEP_SEEDS = (0, 6, 7, 13, 14, 35, 36, 977, 10**9 + 7)
+_GRID = [(limit, seed) for limit in _SWEEP_LIMITS for seed in _SWEEP_SEEDS]
+
+
+def _assert_sampler_matches(sig, depth, pool, cases):
+    terms = list(enumerate_ground_terms(sig, depth, pool))
+    for limit, seed in cases:
+        pairs = stratified_pairs(terms, max_pairs=limit, seed=seed)
+        count, kept = sample_ground_terms(sig, depth, pool, max_pairs=limit, seed=seed)
+        # the pairs are every ordered pair of the kept terms, so their first
+        # row lists the kept terms in order
+        assert count == len(terms), (depth, limit, seed)
+        assert len(pairs) == len(kept) ** 2, (depth, limit, seed)
+        assert [b for _, b in pairs[: len(kept)]] == kept, (depth, limit, seed)
+
+
+@pytest.mark.parametrize("depth", [-1, 0, 1, 2])
+def test_sampler_matches_stratified_pairs(defs, depth):
+    _assert_sampler_matches(_vocab_sig(defs), depth, _SWEEP_POOL, _GRID)
+
+
+def test_sampler_matches_stratified_pairs_at_depth3(defs):
+    # each reference call splits all 365 424 terms, so take a cut of the grid
+    cases = [(10_000, 0), (10_000, 4806), (10_000, 4807), (1600, 977), (10**6, 5), (1, 10**9 + 7)]
+    _assert_sampler_matches(_vocab_sig(defs), 3, _SWEEP_POOL, cases)
+
+
+def test_sampler_matches_with_constant_and_ternary_constructors():
+    defs = validate(parse_typedefs("tri(A) --> t3(A, A, A) + nil3.\nunit --> tt."))
+    sig = _vocab_sig(defs)
+    assert ("t3", 3) in sig.functions and {"nil3", "tt"} <= set(sig.constants)
+    for depth in (0, 1):
+        _assert_sampler_matches(sig, depth, _SWEEP_POOL, _GRID)
+    # constants only, so that depth 2 stays small: 75 897 terms
+    bare = LiteralPool(ints=(), floats=(), strings=(), atoms=())
+    _assert_sampler_matches(sig, 2, bare, [(0, 0), (1600, 7), (10_000, 977), (10**6, 36)])
+    for make in (sample_ground_terms, lambda *a, **k: list(enumerate_ground_terms(*a, **k))):
+        with pytest.raises(BudgetExceeded, match="enumeration exceeded 1000 terms"):
+            make(sig, 2, _SWEEP_POOL, max_terms=1000)
+
+
+def test_sampler_budget_is_counted_not_built(defs):
+    sig = _vocab_sig(defs)
+    with pytest.raises(BudgetExceeded, match="enumeration exceeded 1000 terms"):
+        sample_ground_terms(sig, 3, _SWEEP_POOL, max_terms=1000)
+    # depth 40 has about 2**(2**40) terms: only counting level by level and
+    # stopping at the budget answers at all
+    with pytest.raises(BudgetExceeded, match="enumeration exceeded 1000000 terms"):
+        sample_ground_terms(sig, 40, _SWEEP_POOL)
+    assert sample_ground_terms(sig, 3, _SWEEP_POOL, max_terms=365_424)[0] == 365_424
 
 
 # --- oracle invariants: wrong absorption, symmetry, reflexivity -------------------
