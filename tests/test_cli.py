@@ -242,7 +242,8 @@ def test_oracle_small(capsys):
 
 
 def test_oracle_depth2_and_depth3(capsys):
-    # depth 3 has 365 424 terms, of which 24 shallow and 76 deep are kept
+    # of 604 or 365 424 terms, 24 are shallow: 16 deep ones are kept for
+    # 1600 pairs and 76 for the default 10 000
     for depth, terms in (("2", 604), ("3", 365_424)):
         code, out, _ = cli(capsys, "oracle", "--depth", depth, "--limit", "1600", "--seed", "3")
         assert (code, out) == (0, f"terms: {terms}\npairs: 1600\nmismatches: 0\n")
@@ -259,12 +260,9 @@ def test_oracle_states_match_per_pair_generation(capsys, monkeypatch):
     and verdict on every pair of a depth-2 sweep.
     """
     from regunify import cli as cli_mod
+    from regunify import derive_signatures, validate
     from regunify.constraints import FreshSupply, gen_equation
-    from regunify.semantics import (
-        LiteralPool,
-        enumerate_ground_terms,
-        stratified_pairs,
-    )
+    from regunify.semantics import LiteralPool, enumerate_ground_terms, stratified_pairs
     from regunify.solver import solve
 
     runs = []
@@ -278,7 +276,7 @@ def test_oracle_states_match_per_pair_generation(capsys, monkeypatch):
     code, out, _ = cli(capsys, "oracle", "--depth", "2", "--limit", "4225", "--seed", "5")
     assert (code, out.splitlines()[1]) == (0, "pairs: 4225")
 
-    sig = cli_mod.derive_signatures(cli_mod.validate(())).with_function("f", 1)
+    sig = derive_signatures(validate(())).with_function("f", 1)
     pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
     pairs = stratified_pairs(list(enumerate_ground_terms(sig, 2, pool)), max_pairs=4225, seed=5)
     assert [(s.terms[0].lhs, s.terms[0].rhs) for s, _ in runs] == pairs
@@ -302,7 +300,8 @@ def _canonical_types(types):
     return re.sub(r"\$t\d+", lambda m: names.setdefault(m.group(), f"#{len(names)}"), text)
 
 
-def test_oracle_over_budget_depth_is_refused_at_once(capsys):
+def test_oracle_over_budget_depth_is_an_internal_error(capsys):
+    # refused from the level counts, before a term is built
     code, out, err = cli(capsys, "oracle", "--depth", "4")
     assert (code, out, err) == (70, "", "internal error: enumeration exceeded 1000000 terms\n")
 

@@ -208,11 +208,13 @@ def test_stratified_pairs_deterministic(defs):
 # --- the sweep sampler against the full enumeration -------------------------------
 
 _SWEEP_POOL = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
-_SWEEP_LIMITS = (0, 1, 1600, 4225, 10_000, 10**6)
+_SWEEP_LIMITS = (0, 1, 1600, 4225, 10_000)
 # 6/7, 13/14 and 35/36 sit at the strides of depth-2 sweeps (limits 10 000,
 # 4225 and 1600), 4806/4807 at that of a depth-3 sweep of 10 000 pairs
 _SWEEP_SEEDS = (0, 6, 7, 13, 14, 35, 36, 977, 10**9 + 7)
+# 10**6 pairs keep more terms than depth 2 has: every term, whatever the seed
 _GRID = [(limit, seed) for limit in _SWEEP_LIMITS for seed in _SWEEP_SEEDS]
+_GRID += [(10**6, 0), (10**6, 977)]
 
 
 def _assert_sampler_matches(sig, depth, pool, cases):
@@ -234,7 +236,7 @@ def test_sampler_matches_stratified_pairs(defs, depth):
 
 def test_sampler_matches_stratified_pairs_at_depth3(defs):
     # each reference call splits all 365 424 terms, so take a cut of the grid
-    cases = [(10_000, 0), (10_000, 4806), (10_000, 4807), (1600, 977), (10**6, 5), (1, 10**9 + 7)]
+    cases = [(10_000, 0), (10_000, 4806), (10_000, 4807), (1600, 977), (10**6, 5)]
     _assert_sampler_matches(_vocab_sig(defs), 3, _SWEEP_POOL, cases)
 
 
@@ -242,8 +244,8 @@ def test_sampler_matches_with_constant_and_ternary_constructors():
     defs = validate(parse_typedefs("tri(A) --> t3(A, A, A) + nil3.\nunit --> tt."))
     sig = _vocab_sig(defs)
     assert ("t3", 3) in sig.functions and {"nil3", "tt"} <= set(sig.constants)
-    for depth in (0, 1):
-        _assert_sampler_matches(sig, depth, _SWEEP_POOL, _GRID)
+    for depth in (0, 1):  # every term is shallow: the seed plays no part
+        _assert_sampler_matches(sig, depth, _SWEEP_POOL, [(0, 0), (1600, 7), (10**6, 36)])
     # constants only, so that depth 2 stays small: 75 897 terms
     bare = LiteralPool(ints=(), floats=(), strings=(), atoms=())
     _assert_sampler_matches(sig, 2, bare, [(0, 0), (1600, 7), (10_000, 977), (10**6, 36)])
@@ -256,8 +258,8 @@ def test_sampler_budget_is_counted_not_built(defs):
     sig = _vocab_sig(defs)
     with pytest.raises(BudgetExceeded, match="enumeration exceeded 1000 terms"):
         sample_ground_terms(sig, 3, _SWEEP_POOL, max_terms=1000)
-    # depth 40 has about 2**(2**40) terms: only counting level by level and
-    # stopping at the budget answers at all
+    # the count's digits double with each level, so depth 40 answers only
+    # because counting stops at the first level past the budget
     with pytest.raises(BudgetExceeded, match="enumeration exceeded 1000000 terms"):
         sample_ground_terms(sig, 40, _SWEEP_POOL)
     assert sample_ground_terms(sig, 3, _SWEEP_POOL, max_terms=365_424)[0] == 365_424
