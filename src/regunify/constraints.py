@@ -105,17 +105,19 @@ def _gen(ctx: Context, sig: SignatureEnv, term: Term, fresh: FreshSupply, out) -
     """The type of a term under a context; its type constraints are appended
     to `out` in generation order.
     """
-    if isinstance(term, Var):
+    kind = type(term)
+    if kind is Var:
         try:
             return ctx[term.name]
         except KeyError:
             raise UnboundVariable(f"variable {term.name} is not in the context") from None
-    if isinstance(term, Const):
+    if kind is Const:
         return instantiate(sig.lookup_constant(term), fresh)
-    ft = instantiate(sig.lookup_function(term.functor, term.arity), fresh)
-    assert isinstance(ft, FuncType) and len(ft.domain) == term.arity
+    args = term.args
+    ft = instantiate(sig.lookup_function(term.functor, len(args)), fresh)
+    assert isinstance(ft, FuncType) and len(ft.domain) == len(args)
     arg_tys = []
-    for arg in term.args:  # a loop, not a comprehension: one frame per level
+    for arg in args:  # a loop, not a comprehension: one frame per level
         arg_tys.append(_gen(ctx, sig, arg, fresh, out))
     out.extend(map(TypeConstraint, arg_tys, ft.domain))
     return ft.codomain

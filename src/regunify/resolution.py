@@ -14,6 +14,16 @@ Search stops at the first success.  Failing searches distinguish why:
     NoUnknown   anything weaker: a false with goals still pending, or an
                 exhausted budget
 
+The type context a derivation carries maps each variable to its type under
+the type substitution so far.  It holds the query's variables, whose types
+the answer reports, and the variables no step has bound yet, which are the
+only ones the goals still mention.  A variable a step binds leaves every goal
+for good, so the context passed on drops it: like a WAM's environment
+trimming, a step then costs what its live variables cost, not what the whole
+derivation so far has renamed.  A goal's variables not met before (the
+query's, and those only a clause body held) get their generic type once per
+goal, and each renamed clause head adds its own variables.
+
 A goal `t1 = t2` is solved by typed unification directly instead of clause
 search.  `is` and other unknown predicates have no special meaning: they
 simply find no matching clauses.
@@ -110,12 +120,16 @@ class ResolveReport:
 
 
 def rename_clause(clause: Clause, fresh: FreshSupply) -> Clause:
-    """Copy with every variable renamed through the fresh supply."""
+    """Copy with every variable renamed through the fresh supply; a clause
+    without variables draws no names and is returned as it is.
+    """
     mapping: Subst = {}
     for t in (clause.head, *clause.body):
         for name in free_vars(t):
             if name not in mapping:
                 mapping[name] = fresh.var(f"{name}_")
+    if not mapping:  # a ground clause is its own renaming
+        return clause
     return Clause(
         apply_subst(mapping, clause.head),
         tuple(apply_subst(mapping, g) for g in clause.body),
@@ -203,30 +217,38 @@ class _Search:
                 # no candidate clauses at all: the branch fails plainly
                 notes.append(BranchNote(depth, goal, None, "false", final, "no_clauses"))
                 return
+        # the goal's variables keep the types the derivation gave them; one
+        # not met before gets its generic type
+        goal_ctx = generic_context((goal,), self.fresh) | var_types
         for clause in clauses:
             if self.report.steps >= self.budget.max_steps:
                 self.budget_exceeded = True
                 return
             self.report.steps += 1
             if clause is None:
-                against, body, via = None, (), "equality"
-                ctx = generic_context(goal.args, self.fresh) | var_types
+                against, body, via, ctx = None, (), "equality", goal_ctx
                 result = solve(gen_equation(ctx, self.sig, *goal.args, self.fresh)).result
             else:
                 renamed = rename_clause(clause, self.fresh)
                 against, body, via = renamed.head, renamed.body, "clause"
                 if isinstance(goal, Const):
-                    ctx, result = var_types, Solved({}, {})
+                    ctx, result = goal_ctx, Solved({}, {})
                 else:
-                    ctx = generic_context((goal, renamed.head), self.fresh) | var_types
+                    ctx = goal_ctx | generic_context((renamed.head,), self.fresh)
                     result = solve(self.unify_args(ctx, goal, renamed.head)).result
             verdict = _VERDICT[type(result)]
             notes.append(BranchNote(depth, goal, against, verdict, final, via))
             if verdict == "solved":
+                subst, mu = result.subst, result.type_subst
                 yield (
-                    tuple(apply_subst(result.subst, g) for g in (*body, *rest)),
-                    _compose(answer, result.subst),
-                    {name: apply_type_subst(result.type_subst, ty) for name, ty in ctx.items()},
+                    tuple(apply_subst(subst, g) for g in (*body, *rest)),
+                    _compose(answer, subst),
+                    # a variable this step bound has left every goal for good
+                    {
+                        name: apply_type_subst(mu, ty)
+                        for name, ty in ctx.items()
+                        if name in answer or name not in subst
+                    },
                 )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded
@@ -105,25 +105,50 @@ class SolveRun:
     trace: tuple[TraceStep, ...]
 
 
-def _type_head(ty: TypeExpr):
-    """Rigid head key, or None for a variable."""
-    if isinstance(ty, TVar):
-        return None
-    if isinstance(ty, Base):
-        return ("base", ty.kind, 0)
-    if isinstance(ty, Bool):
-        return ("bool", "", 0)
-    if isinstance(ty, SymApp):
-        return ("sym", ty.symbol, len(ty.args))
-    return ("ctor", ty.ctor, len(ty.args))
+# Family-local rule numbers.
+_DECOMPOSE, _DELETE, _CLASH, _ORIENT, _ELIMINATE, _OCCURS = range(1, 7)
 
 
-def _term_head(t: Term):
-    if isinstance(t, Var):
-        return None
-    if isinstance(t, Const):
-        return ("const", (t.symbol, t.kind), 0)
-    return ("fn", t.functor, len(t.args))
+def _type_rule(lhs: TypeExpr, rhs: TypeExpr) -> int:
+    """The local rule a type constraint matches, read off the classes of its
+    sides.  Eliminate also stands for "no rule": whether eliminate applies
+    depends on the rest, and that is checked when it comes up.
+    """
+    kind = type(lhs)
+    if kind is TVar:
+        if type(rhs) is TVar:
+            return _DELETE if lhs.name == rhs.name else _ELIMINATE
+        return _OCCURS if getattr(rhs, "args", None) and occurs_in(lhs.name, rhs) else _ELIMINATE
+    if type(rhs) is TVar:
+        return _ORIENT
+    if kind is not type(rhs):
+        return _CLASH
+    if kind is Base:  # equal 0-arity heads are structurally equal
+        return _DELETE if lhs.kind == rhs.kind else _CLASH
+    if kind is Bool:
+        return _DELETE
+    same = lhs.symbol == rhs.symbol if kind is SymApp else lhs.ctor == rhs.ctor
+    if not same or len(lhs.args) != len(rhs.args):
+        return _CLASH
+    return _DECOMPOSE if lhs.args else _DELETE
+
+
+def _term_rule(lhs: Term, rhs: Term) -> int:
+    """The term counterpart of _type_rule."""
+    kind = type(lhs)
+    if kind is Var:
+        if type(rhs) is Var:
+            return _DELETE if lhs.name == rhs.name else _ELIMINATE
+        return _OCCURS if getattr(rhs, "args", None) and occurs_in(lhs.name, rhs) else _ELIMINATE
+    if type(rhs) is Var:
+        return _ORIENT
+    if kind is not type(rhs):
+        return _CLASH
+    if kind is Const:
+        return _DELETE if (lhs.symbol, lhs.kind) == (rhs.symbol, rhs.kind) else _CLASH
+    if lhs.functor != rhs.functor or len(lhs.args) != len(rhs.args):
+        return _CLASH
+    return _DECOMPOSE if lhs.args else _DELETE
 
 
 def _rebuild_type(ty: TypeExpr, args: tuple) -> TypeExpr:
@@ -140,16 +165,13 @@ class _Family(NamedTuple):
     """What the engine needs to know about one kind of constraint."""
 
     constraint: type
-    head: Callable
+    rule: Callable  # (lhs, rhs) -> the local rule the constraint matches
     rebuild: Callable
     offset: int  # rule number = family-local rule (1-6) + offset
 
 
-_TYPES = _Family(TypeConstraint, _type_head, _rebuild_type, 0)
-_TERMS = _Family(TermConstraint, _term_head, _rebuild_term, 6)
-
-# Family-local rule numbers.
-_DECOMPOSE, _DELETE, _CLASH, _ORIENT, _ELIMINATE, _OCCURS = range(1, 7)
+_TYPES = _Family(TypeConstraint, _type_rule, _rebuild_type, 0)
+_TERMS = _Family(TermConstraint, _term_rule, _rebuild_term, 6)
 
 _VARS = (Var, TVar)
 
@@ -203,8 +225,9 @@ class _Phase:
       last child the parent's key and each other child the parent's prefix
       extended by a number from a counter that only grows, so the children
       sit where the parent was, and a list's spine keeps its keys short.
-    - One heap of (key, cid) per rule.  The leftmost constraint a rule
-      matches is the least entry of its heap that is still valid.  Entries
+    - One heap of (rule, key, cid) entries.  Its least valid entry is the
+      lowest rule that applies anywhere and the leftmost constraint it
+      matches, so a step looks at one heap top, not one per rule.  Entries
       go stale when their constraint is rewritten or removed and are dropped
       when they reach the top.
     - The occurrence count of every variable.  Decompose and orient keep
@@ -216,22 +239,25 @@ class _Phase:
       decomposed constraint forwards to its last child; the other children
       are indexed when they are made, so a spine is never walked again.
 
+    A constraint's rule is read off the classes of its two sides (see
+    _type_rule), with no head keys built and no structural comparison.
     Only eliminate needs the counts and the index, so both are taken when it
-    first comes up; a run that ends before that never counts or indexes.
+    first comes up, in one walk; a run that ends before that never counts or
+    indexes.
     """
 
     def __init__(self, constraints, family: _Family):
         self.family = family
-        self.cons: list = []  # cid -> constraint, None once decomposed or deleted
-        self.keys: list = []  # cid -> order key
-        self.rules: list = []  # cid -> local rule its constraint matches; 0 once gone
-        self.heaps = [[] for _ in range(_OCCURS + 1)]
+        self.cons: list = list(constraints)  # cid -> constraint, None once decomposed or deleted
+        self.keys: list = [(i, _LAST) for i in range(len(self.cons))]  # cid -> order key
+        # cid -> local rule its constraint matches; 0 once gone
+        self.rules: list = [family.rule(c.lhs, c.rhs) for c in self.cons]
+        self.heap = list(zip(self.rules, self.keys, range(len(self.cons))))
+        heapify(self.heap)
         self.counts: Optional[dict[str, int]] = None  # variable -> occurrences
         self.index: Optional[dict[str, list]] = None  # variable -> cids, each live or forwarding
         self.forward: dict[int, int] = {}  # decomposed cid -> cid of its last child
-        self.fresh = len(constraints)
-        for i, c in enumerate(constraints):
-            self._add(c, (i, _LAST))
+        self.fresh = len(self.cons)
 
     # --- bookkeeping ---------------------------------------------------------
 
@@ -239,63 +265,56 @@ class _Phase:
         cid = len(self.cons)
         self.cons.append(c)
         self.keys.append(key)
-        self.rules.append(0)
-        self._classify(cid, c)
+        rule = self.family.rule(c.lhs, c.rhs)
+        self.rules.append(rule)
+        heappush(self.heap, (rule, key, cid))
         return cid
 
     def _census(self) -> None:
-        """Count and index the variables of the live constraints."""
-        live = [(cid, c) for cid, c in enumerate(self.cons) if c is not None]
-        self.counts = tree_counts([side for _cid, c in live for side in (c.lhs, c.rhs)])[0]
+        """Count and index the variables of the live constraints.  Indexing
+        enters a constraint once per occurrence of a variable, so unless a
+        walk met a shared compound the index lists already give the counts.
+        """
         self.index = {}
-        for cid, c in live:
-            self._index(cid, c)
+        live, shared = [], False
+        for cid, c in enumerate(self.cons):
+            if c is not None:
+                live.append(c)
+                shared = self._index(cid, c) or shared
+        if shared:
+            self.counts = tree_counts([side for c in live for side in (c.lhs, c.rhs)])[0]
+        else:
+            self.counts = {name: len(cids) for name, cids in self.index.items()}
 
-    def _index(self, cid: int, c) -> None:
-        """Enter `cid` under each variable of `c`."""
+    def _index(self, cid: int, c) -> bool:
+        """Enter `cid` under each variable of `c`, once per occurrence met.
+        Whether a compound was met twice, and so walked only once.
+        """
         index = self.index
-        stack, seen = [c.lhs, c.rhs], set()
+        stack, seen, shared = [], set(), False
+        for side in (c.lhs, c.rhs):
+            if getattr(side, "args", None):
+                stack.append(side)
+            elif type(side) in _VARS:
+                index.setdefault(side.name, []).append(cid)
         while stack:
             node = stack.pop()
-            args = getattr(node, "args", None)
-            if args:
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    stack.extend(args)
-            elif isinstance(node, _VARS):
-                index.setdefault(node.name, []).append(cid)
+            if id(node) in seen:
+                shared = True
+                continue
+            seen.add(id(node))
+            for arg in node.args:
+                if getattr(arg, "args", None):
+                    stack.append(arg)
+                elif type(arg) in _VARS:
+                    index.setdefault(arg.name, []).append(cid)
+        return shared
 
     def _set(self, cid: int, c) -> None:
+        """Put `c` in place of constraint `cid` and queue the rule it matches."""
         self.cons[cid] = c
-        self._classify(cid, c)
-
-    def _classify(self, cid: int, c) -> None:
-        """Record and queue the rule that matches `c`; only eliminate also
-        depends on the rest, and that is checked when it comes up.
-        """
-        head = self.family.head
-        lh, rh = head(c.lhs), head(c.rhs)
-        if lh is not None and rh is not None:
-            if lh == rh and lh[2] >= 1:
-                rule = _DECOMPOSE
-            elif c.lhs == c.rhs:
-                rule = _DELETE
-            else:  # same 0-arity heads are structurally equal, so this is a clash
-                rule = _CLASH
-        elif c.lhs == c.rhs:
-            rule = _DELETE
-        elif lh is not None:  # value on the left, variable on the right
-            rule = _ORIENT
-        elif occurs_in(c.lhs.name, c.rhs):
-            rule = _OCCURS
-        else:
-            rule = _ELIMINATE
-        self.rules[cid] = rule
-        heappush(self.heaps[rule], (self.keys[cid], cid))
-
-    def _drop(self, cid: int) -> None:
-        self.cons[cid] = None
-        self.rules[cid] = 0
+        rule = self.rules[cid] = self.family.rule(c.lhs, c.rhs)
+        heappush(self.heap, (rule, self.keys[cid], cid))
 
     def _holders(self, name: str, binder: int) -> set:
         """Live constraints other than `binder` that may contain `name`."""
@@ -323,28 +342,34 @@ class _Phase:
 
     def redex(self) -> Optional[tuple[int, int]]:
         """Lowest applicable local rule and the leftmost cid it matches."""
-        cons, rules, heaps = self.cons, self.rules, self.heaps
-        for rule in range(_DECOMPOSE, _OCCURS + 1):
-            heap = heaps[rule]
-            if rule == _ELIMINATE and heap and self.counts is None:
-                self._census()
-            counts = self.counts
-            while heap:
-                cid = heap[0][1]
-                if rules[cid] == rule and (
-                    rule != _ELIMINATE or counts[cons[cid].lhs.name] > 1
-                ):
+        heap, rules = self.heap, self.rules
+        while heap:
+            rule, _key, cid = heap[0]
+            if rule == _ELIMINATE:
+                if self.counts is None:
+                    self._census()
+                if rules[cid] == rule and self.counts[self.cons[cid].lhs.name] > 1:
                     return rule, cid
-                heappop(heap)
+            elif rules[cid] == rule:
+                return rule, cid
+            heappop(heap)
         return None
 
     def fire(self, rule: int, cid: int) -> None:
         """Apply decompose, delete, orient or eliminate to constraint `cid`."""
         c = self.cons[cid]
-        make = self.family.constraint
-        if rule == _DECOMPOSE:
-            self._drop(cid)
-            key = self.keys[cid]
+        if rule == _ORIENT:
+            self._set(cid, self.family.constraint(c.rhs, c.lhs))
+        elif rule == _ELIMINATE:
+            self._eliminate(cid, c.lhs.name, c.rhs)
+        else:
+            self.cons[cid] = None
+            self.rules[cid] = 0
+            if rule == _DELETE:
+                if type(c.lhs) in _VARS and self.counts is not None:
+                    self.counts[c.lhs.name] -= 2
+                return
+            make, key = self.family.constraint, self.keys[cid]
             pairs = list(zip(c.lhs.args, c.rhs.args))
             for a, b in pairs[:-1]:
                 child = make(a, b)
@@ -353,20 +378,15 @@ class _Phase:
                 if self.index is not None:
                     self._index(child_cid, child)
             self.forward[cid] = self._add(make(*pairs[-1]), key)
-        elif rule == _DELETE:
-            self._drop(cid)
-            if isinstance(c.lhs, _VARS) and self.counts is not None:
-                self.counts[c.lhs.name] -= 2
-        elif rule == _ORIENT:
-            self._set(cid, make(c.rhs, c.lhs))
-        else:
-            self._eliminate(cid, c.lhs.name, c.rhs)
 
     def _eliminate(self, binder: int, name: str, value) -> None:
         """Substitute `value` for `name` in every other constraint holding it."""
         make, rebuild = self.family.constraint, self.family.rebuild
         cons, rules = self.cons, self.rules
-        inside = tree_counts((value,))[0]
+        if getattr(value, "args", None):
+            inside = tree_counts((value,))[0]
+        else:
+            inside = {value.name: 1} if isinstance(value, _VARS) else {}
         memo: dict = {}
         rewritten = []
         for cid in self._holders(name, binder):
@@ -413,7 +433,8 @@ def solve(
     size(state)**2 * 64, which no input should ever reach.
 
     Each step costs what it touches, not the size of the whole state; see
-    _Phase.  Eliminate shares the bound subterm instead of copying it, so
+    _Phase.  The term phase is set up only once the type rules reach their
+    fixpoint, so a wrong result never builds it.  Eliminate shares the bound subterm instead of copying it, so
     the unifiers can hold one object in many places.
     """
     # The default budget needs the size of the whole state.  Every constraint
@@ -422,36 +443,40 @@ def solve(
     exact = max_steps is not None
     if not exact:
         max_steps = max(1, 2 * (len(state.terms) + len(state.types))) ** 2 * BUDGET_FACTOR
-    types = _Phase(state.types, _TYPES)
-    terms = _Phase(state.terms, _TERMS)
+    types = phase = _Phase(state.types, _TYPES)
+    terms = None  # set up once the type rules reach their fixpoint
     steps = 0
     trace_steps: list[TraceStep] = []
-    for phase in (types, terms):  # the type rules reach their fixpoint first
-        while (redex := phase.redex()) is not None:
-            steps += 1
-            if steps > max_steps and not exact:
-                max_steps, exact = max(1, state.size()) ** 2 * BUDGET_FACTOR, True
-            if steps > max_steps:
-                raise BudgetExceeded(f"rewriting exceeded {max_steps} steps")
-            rule, cid = redex
-            target = phase.cons[cid]
-            if rule in (_CLASH, _OCCURS):
-                if phase is types:
-                    result = SolveWrong(witness=target)
-                else:
-                    result = SolveFalse(
-                        type_subst=_read(types.ordered()), witness=target
-                    )
-                return SolveRun(result, steps, tuple(trace_steps))
-            phase.fire(rule, cid)
-            if trace:
-                trace_steps.append(
-                    TraceStep(
-                        rule + phase.family.offset,
-                        target,
-                        ConstraintState(terms.ordered(), types.ordered()),
-                    )
+    while True:
+        redex = phase.redex()
+        if redex is None:
+            if terms is not None:
+                break
+            terms = phase = _Phase(state.terms, _TERMS)
+            continue
+        steps += 1
+        if steps > max_steps and not exact:
+            max_steps, exact = max(1, state.size()) ** 2 * BUDGET_FACTOR, True
+        if steps > max_steps:
+            raise BudgetExceeded(f"rewriting exceeded {max_steps} steps")
+        rule, cid = redex
+        target = phase.cons[cid]
+        if rule == _CLASH or rule == _OCCURS:
+            if terms is None:
+                result = SolveWrong(witness=target)
+            else:
+                result = SolveFalse(type_subst=_read(types.ordered()), witness=target)
+            return SolveRun(result, steps, tuple(trace_steps))
+        phase.fire(rule, cid)
+        if trace:
+            term_cs = tuple(state.terms) if terms is None else terms.ordered()
+            trace_steps.append(
+                TraceStep(
+                    rule + phase.family.offset,
+                    target,
+                    ConstraintState(term_cs, types.ordered()),
                 )
+            )
     result = Solved(
         subst=_read(terms.ordered()), type_subst=_read(types.ordered())
     )

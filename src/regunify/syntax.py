@@ -206,21 +206,23 @@ TypeSubst = dict[str, TypeExpr]
 
 def apply_subst(subst: Subst, term: Term) -> Term:
     """Replace every bound variable in `term`; unbound variables stay."""
-    if isinstance(term, Var):
+    kind = type(term)
+    if kind is Var:
         return subst.get(term.name, term)
-    if isinstance(term, Const):
+    if kind is Const:
         return term
-    return Compound(term.functor, tuple(apply_subst(subst, a) for a in term.args))
+    return Compound(term.functor, tuple([apply_subst(subst, a) for a in term.args]))
 
 
 def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:
-    if isinstance(ty, TVar):
+    kind = type(ty)
+    if kind is TVar:
         return subst.get(ty.name, ty)
-    if isinstance(ty, (Base, Bool)):
-        return ty
-    if isinstance(ty, SymApp):
-        return SymApp(ty.symbol, tuple(apply_type_subst(subst, a) for a in ty.args))
-    return CtorApp(ty.ctor, tuple(apply_type_subst(subst, a) for a in ty.args))
+    if kind is SymApp:
+        return SymApp(ty.symbol, tuple([apply_type_subst(subst, a) for a in ty.args]))
+    if kind is CtorApp:
+        return CtorApp(ty.ctor, tuple([apply_type_subst(subst, a) for a in ty.args]))
+    return ty  # base types and bool
 
 
 def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:

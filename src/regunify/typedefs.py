@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ArityMismatch, ConflictingOverride, TypeValidationError
 from .syntax import (
-    ATOM,
+    BASE_KINDS,
     Base,
     Bool,
     Const,
@@ -224,44 +224,67 @@ def _check_symapp_arities(ty: TypeExpr, defs: dict[str, TypeDef], where: str, ou
 # --- signature environment ---------------------------------------------------
 
 
+# The scheme of each literal kind, the atom default among them: one object
+# per kind, shared by every environment.
+_LITERAL_SCHEMES = {kind: TypeScheme((), Base(kind)) for kind in BASE_KINDS}
+
+
 @dataclass(frozen=True)
 class SignatureEnv:
     """Schemes for constants, functions, and predicates.
 
     Lookups fall back to the defaults described in the module docstring.
+    Each default scheme is built once per key and then shared, so callers
+    must not change the three maps after construction.  Errors are never
+    remembered: a lookup that raises raises again on every call.
     """
 
     constants: dict[str, TypeScheme] = field(default_factory=dict)
     functions: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
     predicates: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
+    _functors: frozenset = field(init=False, repr=False, compare=False)  # names in `functions`
+    _function_defaults: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _predicate_defaults: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_functors", frozenset(f for (f, _n) in self.functions))
 
     def lookup_constant(self, const: Const) -> TypeScheme:
         if const.kind != "atom":  # literal kinds are base type names
-            return TypeScheme((), Base(const.kind))
+            return _LITERAL_SCHEMES[const.kind]
         name = const.symbol
         scheme = self.constants.get(name)
         if scheme is not None:
             return scheme
-        if any(f == name for (f, _n) in self.functions):
+        if name in self._functors:
             raise ArityMismatch(f"{name} is a declared functor, not a constant")
-        return TypeScheme((), ATOM)
+        return _LITERAL_SCHEMES["atom"]
 
     def lookup_function(self, functor: str, arity: int) -> TypeScheme:
-        scheme = self.functions.get((functor, arity))
+        key = (functor, arity)
+        scheme = self.functions.get(key)
         if scheme is not None:
             return scheme
-        if functor in self.constants or any(f == functor for (f, _n) in self.functions):
+        if functor in self.constants or functor in self._functors:
             raise ArityMismatch(f"{functor} is declared with a different arity")
-        params = tuple(f"A{i + 1}" for i in range(arity))
-        args = tuple(TVar(p) for p in params)
-        return TypeScheme(params, FuncType(args, SymApp(free_ctor_symbol(functor), args)))
+        scheme = self._function_defaults.get(key)
+        if scheme is None:
+            params = tuple(f"A{i + 1}" for i in range(arity))
+            args = tuple(TVar(p) for p in params)
+            scheme = TypeScheme(params, FuncType(args, SymApp(free_ctor_symbol(functor), args)))
+            self._function_defaults[key] = scheme
+        return scheme
 
     def lookup_predicate(self, name: str, arity: int) -> TypeScheme:
         scheme = self.predicates.get((name, arity))
         if scheme is not None:
             return scheme
-        params = tuple(f"A{i + 1}" for i in range(arity))
-        return TypeScheme(params, FuncType(tuple(TVar(p) for p in params), Bool()))
+        scheme = self._predicate_defaults.get(arity)  # the default depends on the arity alone
+        if scheme is None:
+            params = tuple(f"A{i + 1}" for i in range(arity))
+            scheme = TypeScheme(params, FuncType(tuple(TVar(p) for p in params), Bool()))
+            self._predicate_defaults[arity] = scheme
+        return scheme
 
     def with_function(self, functor: str, arity: int) -> "SignatureEnv":
         """Extended copy with the default scheme for functor/arity made explicit.
@@ -319,7 +342,11 @@ def derive_signatures(defs: TypeDefSet, overrides: SignatureEnv | None = None) -
 
 
 def instantiate(scheme: TypeScheme, fresh) -> TypeExpr | FuncType:
-    """Replace the scheme's generics with variables from the fresh supply."""
+    """Replace the scheme's generics with variables from the fresh supply.
+    A scheme without generics is its own instance: its body is returned.
+    """
+    if not scheme.generics:
+        return scheme.body
     mapping = {g: fresh.tvar() for g in scheme.generics}
     body = scheme.body
     if isinstance(body, FuncType):

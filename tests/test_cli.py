@@ -195,6 +195,21 @@ def test_run_json_matches_human(tmp_path, capsys):
     assert "\n".join(_human_run(doc)) + "\n" == human
 
 
+def test_run_fresh_names_golden(tmp_path, capsys):
+    # The 51 in $L_51 comes from the one fresh-name counter that clause
+    # renaming and type instantiation share: a step that draws one type
+    # variable more or fewer changes this line.
+    p = tmp_path / "app.pl"
+    p.write_text("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
+    args = ["run", str(p), "-q", "?- app([1,2],Y,R)."]
+    code, out, _ = cli(capsys, *args)
+    assert code == 0
+    assert out == "yes {R = [1, 2 | $L_51], Y = $L_51}\ntypes: {R : list(int), Y : list(int)}\n"
+    code, out, _ = cli(capsys, *args, "--json")
+    doc = json.loads(out)
+    assert (code, doc["steps"], doc["bindings"]) == (0, 5, {"Y": "$L_51", "R": "[1, 2 | $L_51]"})
+
+
 def test_run_budget(tmp_path, capsys):
     p = tmp_path / "loop.pl"
     p.write_text("p :- p.\n")

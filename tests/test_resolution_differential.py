@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from regunify import (
     NIL,
+    Base,
     Clause,
     Compound,
     NoFalse,
     NoUnknown,
     NoWrong,
     ResolutionBudget,
+    SymApp,
     Var,
     Yes,
     generic_context,
@@ -115,6 +117,40 @@ def test_bare_variable_goal():
     assert assert_same(program, [Compound("p", (mk_atom("q"),))])[0][0] == "yes"
     with pytest.raises(AssertionError, match="^goals are atoms by construction$"):
         resolve(program, [Compound("p", (Var("Y"),))], DEFS)
+
+
+# --- the type context a derivation carries ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "program, query",
+    [
+        # X is bound at the first step; the types of H and T, and so of X,
+        # are only settled by the goals after it
+        (APP, "?- X = [H|T], app(T, [1], R), H = 2."),
+        (APP, "?- X = [H|T], app([a], T, R), H = b."),
+        # query variables bound by `=` alone, before and after clause tries
+        (APP, "?- app([1], [2], R), S = R."),
+        ("p(1). q(a).", "?- X = Y, p(Y), Z = X."),
+        ("p(1).", "?- X = f(Y), p(Y), X = Z."),
+    ],
+)
+def test_context_keeps_the_types_of_query_variables(program, query):
+    outcome = assert_same(parse_program(program), parse_query(query))[0]
+    assert outcome[0] == "yes"
+    assert outcome[2]  # every query variable bound: its type comes from the context
+
+
+def test_context_holds_only_live_variables():
+    # A variable bound at a step has left every goal, so the context passed on
+    # drops it.  Keeping them all held about two entries per step here.
+    items = ", ".join(str(i) for i in range(300))
+    search = _Search(parse_program(APP), DEFS, None, ResolutionBudget(max_depth=10_000))
+    found = search.run(parse_query(f"?- app([{items}], [999], R)."), {"R": Var("R")})
+    assert found is not None
+    _answer, var_types = found
+    assert len(var_types) <= 4
+    assert var_types["R"] == SymApp("list", (Base("int"),))
 
 
 # --- hypothesis-generated programs -----------------------------------------------------

@@ -14,9 +14,12 @@ from regunify import (
     NIL,
     Base,
     Compound,
+    Const,
     ConstraintState,
+    CtorApp,
     Solved,
     SolveFalse,
+    SolveWrong,
     SymApp,
     TVar,
     TermConstraint,
@@ -144,6 +147,48 @@ def test_hand_picked_states_match_reference():
     ]
     verdicts = [assert_same(state) for state in states]
     assert verdicts == ["solved", "solved", "wrong", "false", "false", "solved"]
+
+
+def test_classification_corners_match_reference():
+    # the first rule each state calls for, read off the classes of the sides
+    # of its one constraint; clash and occurs end the run at their first step
+    shared_type, shared_term = SymApp("list", (A,)), Compound("f", (X, mk_int(1)))
+    cases = [
+        # one compound object on both sides decomposes; it is not deleted
+        (_types((shared_type, shared_type)), 1),
+        (_terms((shared_term, shared_term)), 7),
+        # equal 0-arity rigid heads are deleted
+        (_types((INT, Base("int"))), 2),
+        (_types((SymApp("unit"), SymApp("unit"))), 2),
+        (_types((CtorApp("[]"), CtorApp("[]"))), 2),
+        (_terms((mk_int(1), mk_int(1))), 8),
+        (_terms((NIL, mk_atom("[]"))), 8),
+        # unequal ones clash, even under one name
+        (_types((SymApp("unit"), CtorApp("unit"))), 3),
+        (_types((INT, Base("float"))), 3),
+        (_terms((mk_int(1), Const(1.0, "float"))), 9),
+        (_terms((mk_atom("a"), Compound("a", (X,)))), 9),
+        # a variable against itself
+        (_types((A, A)), 2),
+        (_terms((X, X)), 8),
+        # rigid against a variable
+        (_types((INT, A)), 4),
+        (_types((SymApp("list", (B,)), A)), 4),
+        (_terms((mk_int(1), X)), 10),
+        (_terms((Compound("f", (Y,)), X)), 10),
+        # a variable against a compound that holds it
+        (_types((A, SymApp("list", (SymApp("list", (A,)),)))), 6),
+        (_terms((X, Compound("g", (Y, Compound("f", (X,)))))), 12),
+    ]
+    for state, rule in cases:
+        assert_same(state)
+        run = solve(state, trace=True)
+        if rule in (3, 6, 9, 12):
+            assert run.steps == 1 and not run.trace
+            assert run.result.witness == (state.types or state.terms)[0]
+            assert isinstance(run.result, SolveWrong if rule <= 6 else SolveFalse)
+        else:
+            assert run.trace[0].rule == rule, state
 
 
 # --- the criterion-07 corpus ------------------------------------------------------------

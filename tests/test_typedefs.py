@@ -150,6 +150,37 @@ def test_declared_arity_protected(sig):
         sig.lookup_constant(Const("cons", "atom"))
 
 
+def test_default_schemes_are_built_once(sig):
+    assert sig.lookup_predicate("p", 2) is sig.lookup_predicate("q", 2)
+    assert sig.lookup_predicate("p", 2) is not sig.lookup_predicate("p", 3)
+    assert sig.lookup_function("g", 2) is sig.lookup_function("g", 2)
+    assert sig.lookup_function("g", 2) is not sig.lookup_function("h", 2)
+    for k in (Const("a", "atom"), Const(1, "int"), Const(0.5, "float"), Const("s", "string")):
+        assert sig.lookup_constant(k) is sig.lookup_constant(Const(k.symbol, k.kind))
+
+
+def test_lookup_errors_are_raised_on_every_call(sig):
+    for _ in range(3):
+        with pytest.raises(ArityMismatch, match="declared functor, not a constant"):
+            sig.lookup_constant(Const("cons", "atom"))
+        with pytest.raises(ArityMismatch, match="different arity"):
+            sig.lookup_function("cons", 1)
+        with pytest.raises(ArityMismatch, match="different arity"):
+            sig.lookup_function("[]", 1)
+
+
+def test_declared_and_overridden_schemes_beat_the_defaults(defs):
+    env = derive_signatures(
+        defs, parse_signatures("p : int -> bool.\ne : list(int).\nk : int * int -> int.", defs)
+    )
+    assert env.lookup_predicate("q", 1).body.domain != (Base("int"),)  # the default, built first
+    assert env.lookup_predicate("p", 1).body == FuncType((Base("int"),), Bool())
+    assert env.lookup_constant(Const("e", "atom")).body == SymApp("list", (Base("int"),))
+    assert env.lookup_function("k", 2).body == FuncType((Base("int"),) * 2, Base("int"))
+    assert env.lookup_function("cons", 2) is env.functions[("cons", 2)]
+    assert env.lookup_constant(Const("[]", "atom")) is env.constants["[]"]
+
+
 def test_override_predicate_allowed(defs):
     env = parse_signatures("length : list(A) * int -> bool.", defs)
     merged = derive_signatures(defs, env)
@@ -177,3 +208,10 @@ def test_instantiate_freshness(sig):
     assert isinstance(one, SymApp) and isinstance(two, SymApp)
     assert one != two  # distinct fresh variables per instantiation
     assert instantiate(TypeScheme((), Base("int")), fresh) == Base("int")
+
+
+def test_instantiate_without_generics_is_the_body():
+    fresh = FreshSupply()
+    body = FuncType((Base("int"),), Bool())
+    assert instantiate(TypeScheme((), body), fresh) is body
+    assert fresh.tvar() == TVar("$t1")  # no name drawn
