@@ -137,10 +137,11 @@ def rename_clause(clause: Clause, fresh: FreshSupply) -> Clause:
 
 
 def _callable_key(t: Term):
-    if isinstance(t, Const):
+    kind = type(t)
+    if kind is Compound:
+        return (t.functor, len(t.args))
+    if kind is Const:
         return (t.symbol, 0)
-    if isinstance(t, Compound):
-        return (t.functor, t.arity)
     return None
 
 

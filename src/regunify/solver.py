@@ -217,8 +217,10 @@ class _Phase:
     """One family's constraints, rewritten to a fixpoint by its six rules.
 
     Constraints are numbered (cid) as they are made and never renumbered.
-    What the rules' definition recomputes at every step is kept up to date
-    as the rules fire instead:
+    Each one is kept as its two sides, and a constraint object is made only
+    when a trace, a witness or the caller asks for it.  What the rules'
+    definition recomputes at every step is kept up to date as the rules fire
+    instead:
 
     - Order keys.  Keys are tuples ending in _LAST that compare like the
       positions of their constraints in the sequence.  Decompose gives its
@@ -248,27 +250,47 @@ class _Phase:
 
     def __init__(self, constraints, family: _Family):
         self.family = family
-        self.cons: list = list(constraints)  # cid -> constraint, None once decomposed or deleted
-        self.keys: list = [(i, _LAST) for i in range(len(self.cons))]  # cid -> order key
-        # cid -> local rule its constraint matches; 0 once gone
-        self.rules: list = [family.rule(c.lhs, c.rhs) for c in self.cons]
-        self.heap = list(zip(self.rules, self.keys, range(len(self.cons))))
+        self.made: list = list(constraints)  # cid -> its constraint object, None until made
+        self.lhs: list = [c.lhs for c in self.made]  # cid -> left side
+        self.rhs: list = [c.rhs for c in self.made]  # cid -> right side
+        n = len(self.made)
+        self.keys: list = [(i, _LAST) for i in range(n)]  # cid -> order key
+        # cid -> local rule its constraint matches; 0 once decomposed or deleted
+        self.rules: list = list(map(family.rule, self.lhs, self.rhs))
+        self.heap = list(zip(self.rules, self.keys, range(n)))
         heapify(self.heap)
         self.counts: Optional[dict[str, int]] = None  # variable -> occurrences
         self.index: Optional[dict[str, list]] = None  # variable -> cids, each live or forwarding
         self.forward: dict[int, int] = {}  # decomposed cid -> cid of its last child
-        self.fresh = len(self.cons)
+        self.fresh = n
 
     # --- bookkeeping ---------------------------------------------------------
 
-    def _add(self, c, key) -> int:
-        cid = len(self.cons)
-        self.cons.append(c)
+    def _add(self, lhs, rhs, key) -> int:
+        cid = len(self.rules)
+        self.made.append(None)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
         self.keys.append(key)
-        rule = self.family.rule(c.lhs, c.rhs)
+        rule = self.family.rule(lhs, rhs)
         self.rules.append(rule)
         heappush(self.heap, (rule, key, cid))
         return cid
+
+    def _set(self, cid: int, lhs, rhs) -> None:
+        """Put lhs = rhs in place of constraint `cid` and queue the rule it matches."""
+        self.made[cid] = None
+        self.lhs[cid] = lhs
+        self.rhs[cid] = rhs
+        rule = self.rules[cid] = self.family.rule(lhs, rhs)
+        heappush(self.heap, (rule, self.keys[cid], cid))
+
+    def constraint(self, cid: int):
+        """Constraint `cid` as an object, made once per rewrite."""
+        c = self.made[cid]
+        if c is None:
+            c = self.made[cid] = self.family.constraint(self.lhs[cid], self.rhs[cid])
+        return c
 
     def _census(self) -> None:
         """Count and index the variables of the live constraints.  Indexing
@@ -276,23 +298,24 @@ class _Phase:
         walk met a shared compound the index lists already give the counts.
         """
         self.index = {}
-        live, shared = [], False
-        for cid, c in enumerate(self.cons):
-            if c is not None:
-                live.append(c)
-                shared = self._index(cid, c) or shared
+        live = [cid for cid, rule in enumerate(self.rules) if rule]
+        shared = False
+        for cid in live:
+            shared = self._index(cid) or shared
         if shared:
-            self.counts = tree_counts([side for c in live for side in (c.lhs, c.rhs)])[0]
+            sides = [side for cid in live for side in (self.lhs[cid], self.rhs[cid])]
+            self.counts = tree_counts(sides)[0]
         else:
             self.counts = {name: len(cids) for name, cids in self.index.items()}
 
-    def _index(self, cid: int, c) -> bool:
-        """Enter `cid` under each variable of `c`, once per occurrence met.
-        Whether a compound was met twice, and so walked only once.
+    def _index(self, cid: int) -> bool:
+        """Enter `cid` under each variable of its constraint, once per
+        occurrence met.  Whether a compound was met twice, and so walked
+        only once.
         """
         index = self.index
         stack, seen, shared = [], set(), False
-        for side in (c.lhs, c.rhs):
+        for side in (self.lhs[cid], self.rhs[cid]):
             if getattr(side, "args", None):
                 stack.append(side)
             elif type(side) in _VARS:
@@ -310,33 +333,39 @@ class _Phase:
                     index.setdefault(arg.name, []).append(cid)
         return shared
 
-    def _set(self, cid: int, c) -> None:
-        """Put `c` in place of constraint `cid` and queue the rule it matches."""
-        self.cons[cid] = c
-        rule = self.rules[cid] = self.family.rule(c.lhs, c.rhs)
-        heappush(self.heap, (rule, self.keys[cid], cid))
-
     def _holders(self, name: str, binder: int) -> set:
         """Live constraints other than `binder` that may contain `name`."""
-        cons, forward = self.cons, self.forward
+        rules, forward = self.rules, self.forward
         found = set()
         for cid in self.index.get(name, ()):
             path = []
-            while cons[cid] is None and cid in forward:
+            while not rules[cid] and cid in forward:
                 path.append(cid)
                 cid = forward[cid]
             for p in path:  # later lookups jump straight to the end
                 forward[p] = cid
-            if cons[cid] is not None and cid != binder:
+            if rules[cid] and cid != binder:
                 found.add(cid)
         return found
 
+    def _live(self) -> list:
+        """The cids of the live constraints in sequence order."""
+        live = [cid for cid, rule in enumerate(self.rules) if rule]
+        live.sort(key=self.keys.__getitem__)
+        return live
+
     def ordered(self) -> tuple:
         """The live constraints in sequence order."""
-        cons = self.cons
-        live = [cid for cid, c in enumerate(cons) if c is not None]
-        live.sort(key=self.keys.__getitem__)
-        return tuple(cons[cid] for cid in live)
+        return tuple(map(self.constraint, self._live()))
+
+    def unifier(self) -> dict:
+        """The unifier the constraints spell out once in solved form."""
+        out = {}
+        for cid in self._live():
+            lhs = self.lhs[cid]
+            assert isinstance(lhs, _VARS), "constraints not in solved form"
+            out[lhs.name] = self.rhs[cid]
+        return out
 
     # --- the rules -----------------------------------------------------------
 
@@ -348,7 +377,7 @@ class _Phase:
             if rule == _ELIMINATE:
                 if self.counts is None:
                     self._census()
-                if rules[cid] == rule and self.counts[self.cons[cid].lhs.name] > 1:
+                if rules[cid] == rule and self.counts[self.lhs[cid].name] > 1:
                     return rule, cid
             elif rules[cid] == rule:
                 return rule, cid
@@ -357,53 +386,52 @@ class _Phase:
 
     def fire(self, rule: int, cid: int) -> None:
         """Apply decompose, delete, orient or eliminate to constraint `cid`."""
-        c = self.cons[cid]
+        lhs, rhs = self.lhs[cid], self.rhs[cid]
         if rule == _ORIENT:
-            self._set(cid, self.family.constraint(c.rhs, c.lhs))
+            self._set(cid, rhs, lhs)
         elif rule == _ELIMINATE:
-            self._eliminate(cid, c.lhs.name, c.rhs)
+            self._eliminate(cid, lhs.name, rhs)
         else:
-            self.cons[cid] = None
             self.rules[cid] = 0
             if rule == _DELETE:
-                if type(c.lhs) in _VARS and self.counts is not None:
-                    self.counts[c.lhs.name] -= 2
+                if type(lhs) in _VARS and self.counts is not None:
+                    self.counts[lhs.name] -= 2
                 return
-            make, key = self.family.constraint, self.keys[cid]
-            pairs = list(zip(c.lhs.args, c.rhs.args))
+            key = self.keys[cid]
+            pairs = list(zip(lhs.args, rhs.args))
             for a, b in pairs[:-1]:
-                child = make(a, b)
-                child_cid = self._add(child, key[:-1] + (self.fresh, _LAST))
+                child = self._add(a, b, key[:-1] + (self.fresh, _LAST))
                 self.fresh += 1
                 if self.index is not None:
-                    self._index(child_cid, child)
-            self.forward[cid] = self._add(make(*pairs[-1]), key)
+                    self._index(child)
+            self.forward[cid] = self._add(*pairs[-1], key)
 
     def _eliminate(self, binder: int, name: str, value) -> None:
         """Substitute `value` for `name` in every other constraint holding it."""
-        make, rebuild = self.family.constraint, self.family.rebuild
-        cons, rules = self.cons, self.rules
+        rebuild = self.family.rebuild
+        lhs_of, rhs_of, rules = self.lhs, self.rhs, self.rules
         if getattr(value, "args", None):
             inside = tree_counts((value,))[0]
         else:
-            inside = {value.name: 1} if isinstance(value, _VARS) else {}
+            inside = {value.name: 1} if type(value) in _VARS else {}
         memo: dict = {}
         rewritten = []
         for cid in self._holders(name, binder):
-            c = cons[cid]
-            lhs = _substitute(c.lhs, name, value, rebuild, memo)
-            rhs = _substitute(c.rhs, name, value, rebuild, memo)
-            if lhs is not c.lhs or rhs is not c.rhs:
-                rewritten.append((cid, make(lhs, rhs), lhs is c.lhs))
-        # the old constraints stay alive until here, so no id in memo is reused
-        for cid, c, same_lhs in rewritten:
-            if same_lhs and rules[cid] == _ELIMINATE and c.lhs.name not in inside:
+            lhs, rhs = lhs_of[cid], rhs_of[cid]
+            new_lhs = _substitute(lhs, name, value, rebuild, memo)
+            new_rhs = _substitute(rhs, name, value, rebuild, memo)
+            if new_lhs is not lhs or new_rhs is not rhs:
+                rewritten.append((cid, new_lhs, new_rhs, new_lhs is lhs))
+        # the old sides stay alive until here, so no id in memo is reused
+        for cid, lhs, rhs, same_lhs in rewritten:
+            if same_lhs and rules[cid] == _ELIMINATE and lhs.name not in inside:
                 # v = s became v = s' with v in neither s nor `value`: still
                 # an eliminate candidate, and its heap entry still stands
-                cons[cid] = c
+                rhs_of[cid] = rhs
+                self.made[cid] = None
             else:
-                self._set(cid, c)
-        changed = [cid for cid, _c, _same in rewritten]
+                self._set(cid, lhs, rhs)
+        changed = [cid for cid, *_sides in rewritten]
         counts, index = self.counts, self.index
         index[name] = [binder]
         replaced = counts[name] - 1  # all but the binder's own left side
@@ -411,15 +439,6 @@ class _Phase:
         for var, n in inside.items():
             counts[var] += replaced * n
             index.setdefault(var, []).extend(changed)
-
-
-def _read(constraints) -> dict:
-    """The unifier a family's constraints in solved form spell out."""
-    out = {}
-    for c in constraints:
-        assert isinstance(c.lhs, (Var, TVar)), "constraints not in solved form"
-        out[c.lhs.name] = c.rhs
-    return out
 
 
 def solve(
@@ -460,13 +479,15 @@ def solve(
         if steps > max_steps:
             raise BudgetExceeded(f"rewriting exceeded {max_steps} steps")
         rule, cid = redex
-        target = phase.cons[cid]
         if rule == _CLASH or rule == _OCCURS:
+            witness = phase.constraint(cid)
             if terms is None:
-                result = SolveWrong(witness=target)
+                result = SolveWrong(witness=witness)
             else:
-                result = SolveFalse(type_subst=_read(types.ordered()), witness=target)
+                result = SolveFalse(type_subst=types.unifier(), witness=witness)
             return SolveRun(result, steps, tuple(trace_steps))
+        if trace:
+            target = phase.constraint(cid)
         phase.fire(rule, cid)
         if trace:
             term_cs = tuple(state.terms) if terms is None else terms.ordered()
@@ -477,9 +498,7 @@ def solve(
                     ConstraintState(term_cs, types.ordered()),
                 )
             )
-    result = Solved(
-        subst=_read(terms.ordered()), type_subst=_read(types.ordered())
-    )
+    result = Solved(subst=terms.unifier(), type_subst=types.unifier())
     return SolveRun(result, steps, tuple(trace_steps))
 
 
