@@ -338,12 +338,13 @@ class _Phase:
         rules, forward = self.rules, self.forward
         found = set()
         for cid in self.index.get(name, ()):
-            path = []
-            while not rules[cid] and cid in forward:
-                path.append(cid)
-                cid = forward[cid]
-            for p in path:  # later lookups jump straight to the end
-                forward[p] = cid
+            if not rules[cid] and cid in forward:
+                path = []
+                while not rules[cid] and cid in forward:
+                    path.append(cid)
+                    cid = forward[cid]
+                for p in path:  # later lookups jump straight to the end
+                    forward[p] = cid
             if rules[cid] and cid != binder:
                 found.add(cid)
         return found
@@ -453,8 +454,9 @@ def solve(
 
     Each step costs what it touches, not the size of the whole state; see
     _Phase.  The term phase is set up only once the type rules reach their
-    fixpoint, so a wrong result never builds it.  Eliminate shares the bound subterm instead of copying it, so
-    the unifiers can hold one object in many places.
+    fixpoint, so a wrong result never builds it.  Eliminate shares the bound
+    subterm instead of copying it, so the unifiers can hold one object in
+    many places.
     """
     # The default budget needs the size of the whole state.  Every constraint
     # has at least two nodes, so until the steps pass the bound that gives,

@@ -311,7 +311,10 @@ def derive_signatures(defs: TypeDefSet, overrides: SignatureEnv | None = None) -
         codomain = SymApp(d.symbol, tuple(TVar(p) for p in d.params))
         for s in d.summands:
             if s.args:
-                scheme = TypeScheme(d.params, FuncType(s.args, codomain))
+                # an argument of the codomain's own type is the codomain object,
+                # so an instance of the scheme builds it once
+                args = tuple(codomain if a == codomain else a for a in s.args)
+                scheme = TypeScheme(d.params, FuncType(args, codomain))
                 # the codomain mentions every parameter, so generics and body
                 # variables coincide
                 assert set(free_type_vars(scheme.body)) == set(d.params)
@@ -350,8 +353,12 @@ def instantiate(scheme: TypeScheme, fresh) -> TypeExpr | FuncType:
     mapping = {g: fresh.tvar() for g in scheme.generics}
     body = scheme.body
     if isinstance(body, FuncType):
+        codomain = apply_type_subst(mapping, body.codomain)
         return FuncType(  # a list, not a generator, is the faster way to a short tuple
-            tuple([apply_type_subst(mapping, d) for d in body.domain]),
-            apply_type_subst(mapping, body.codomain),
+            tuple([
+                codomain if d is body.codomain else apply_type_subst(mapping, d)
+                for d in body.domain
+            ]),
+            codomain,
         )
     return apply_type_subst(mapping, body)
