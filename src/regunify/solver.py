@@ -338,13 +338,12 @@ class _Phase:
         rules, forward = self.rules, self.forward
         found = set()
         for cid in self.index.get(name, ()):
-            if not rules[cid] and cid in forward:
-                path = []
-                while not rules[cid] and cid in forward:
-                    path.append(cid)
-                    cid = forward[cid]
-                for p in path:  # later lookups jump straight to the end
-                    forward[p] = cid
+            path = []
+            while not rules[cid] and cid in forward:
+                path.append(cid)
+                cid = forward[cid]
+            for p in path:  # later lookups jump straight to the end
+                forward[p] = cid
             if rules[cid] and cid != binder:
                 found.add(cid)
         return found
