@@ -109,20 +109,33 @@ class SolveRun:
 _DECOMPOSE, _DELETE, _CLASH, _ORIENT, _ELIMINATE, _OCCURS = range(1, 7)
 
 
-def _type_rule(lhs: TypeExpr, rhs: TypeExpr) -> int:
-    """The local rule a type constraint matches, read off the classes of its
-    sides.  Eliminate also stands for "no rule": whether eliminate applies
-    depends on the rest, and that is checked when it comes up.
+def _family_rule(var: type, rigid: Callable) -> Callable:
+    """The function giving the local rule a constraint lhs = rhs matches,
+    read off the classes of its sides, for the family whose variables are of
+    class `var`.  `rigid` decides two rigid sides of one class.  Eliminate
+    also stands for "no rule": whether eliminate applies depends on the
+    rest, and that is checked when it comes up.
     """
+
+    def rule(lhs, rhs) -> int:
+        kind = type(lhs)
+        if kind is var:
+            if type(rhs) is var:
+                return _DELETE if lhs.name == rhs.name else _ELIMINATE
+            if getattr(rhs, "args", None) and occurs_in(lhs.name, rhs):
+                return _OCCURS
+            return _ELIMINATE
+        if type(rhs) is var:
+            return _ORIENT
+        if kind is not type(rhs):
+            return _CLASH
+        return rigid(lhs, rhs)
+
+    return rule
+
+
+def _rigid_type_rule(lhs: TypeExpr, rhs: TypeExpr) -> int:
     kind = type(lhs)
-    if kind is TVar:
-        if type(rhs) is TVar:
-            return _DELETE if lhs.name == rhs.name else _ELIMINATE
-        return _OCCURS if getattr(rhs, "args", None) and occurs_in(lhs.name, rhs) else _ELIMINATE
-    if type(rhs) is TVar:
-        return _ORIENT
-    if kind is not type(rhs):
-        return _CLASH
     if kind is Base:  # equal 0-arity heads are structurally equal
         return _DELETE if lhs.kind == rhs.kind else _CLASH
     if kind is Bool:
@@ -133,18 +146,8 @@ def _type_rule(lhs: TypeExpr, rhs: TypeExpr) -> int:
     return _DECOMPOSE if lhs.args else _DELETE
 
 
-def _term_rule(lhs: Term, rhs: Term) -> int:
-    """The term counterpart of _type_rule."""
-    kind = type(lhs)
-    if kind is Var:
-        if type(rhs) is Var:
-            return _DELETE if lhs.name == rhs.name else _ELIMINATE
-        return _OCCURS if getattr(rhs, "args", None) and occurs_in(lhs.name, rhs) else _ELIMINATE
-    if type(rhs) is Var:
-        return _ORIENT
-    if kind is not type(rhs):
-        return _CLASH
-    if kind is Const:
+def _rigid_term_rule(lhs: Term, rhs: Term) -> int:
+    if type(lhs) is Const:
         return _DELETE if (lhs.symbol, lhs.kind) == (rhs.symbol, rhs.kind) else _CLASH
     if lhs.functor != rhs.functor or len(lhs.args) != len(rhs.args):
         return _CLASH
@@ -170,8 +173,8 @@ class _Family(NamedTuple):
     offset: int  # rule number = family-local rule (1-6) + offset
 
 
-_TYPES = _Family(TypeConstraint, _type_rule, _rebuild_type, 0)
-_TERMS = _Family(TermConstraint, _term_rule, _rebuild_term, 6)
+_TYPES = _Family(TypeConstraint, _family_rule(TVar, _rigid_type_rule), _rebuild_type, 0)
+_TERMS = _Family(TermConstraint, _family_rule(Var, _rigid_term_rule), _rebuild_term, 6)
 
 _VARS = (Var, TVar)
 
@@ -242,10 +245,9 @@ class _Phase:
       are indexed when they are made, so a spine is never walked again.
 
     A constraint's rule is read off the classes of its two sides (see
-    _type_rule), with no head keys built and no structural comparison.
+    _family_rule), with no head keys built and no structural comparison.
     Only eliminate needs the counts and the index, so both are taken when it
-    first comes up, in one walk; a run that ends before that never counts or
-    indexes.
+    first comes up; a run that ends before that never counts or indexes.
     """
 
     def __init__(self, constraints, family: _Family):
@@ -293,45 +295,27 @@ class _Phase:
         return c
 
     def _census(self) -> None:
-        """Count and index the variables of the live constraints.  Indexing
-        enters a constraint once per occurrence of a variable, so unless a
-        walk met a shared compound the index lists already give the counts.
-        """
-        self.index = {}
+        """Count and index the variables of the live constraints."""
         live = [cid for cid, rule in enumerate(self.rules) if rule]
-        shared = False
+        sides = [side for cid in live for side in (self.lhs[cid], self.rhs[cid])]
+        self.counts = tree_counts(sides)[0]
+        self.index = {}
         for cid in live:
-            shared = self._index(cid) or shared
-        if shared:
-            sides = [side for cid in live for side in (self.lhs[cid], self.rhs[cid])]
-            self.counts = tree_counts(sides)[0]
-        else:
-            self.counts = {name: len(cids) for name, cids in self.index.items()}
+            self._index(cid)
 
-    def _index(self, cid: int) -> bool:
-        """Enter `cid` under each variable of its constraint, once per
-        occurrence met.  Whether a compound was met twice, and so walked
-        only once.
-        """
+    def _index(self, cid: int) -> None:
+        """Enter `cid` under each variable of its constraint."""
         index = self.index
-        stack, seen, shared = [], set(), False
-        for side in (self.lhs[cid], self.rhs[cid]):
-            if getattr(side, "args", None):
-                stack.append(side)
-            elif type(side) in _VARS:
-                index.setdefault(side.name, []).append(cid)
+        stack, seen = [self.lhs[cid], self.rhs[cid]], set()
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                shared = True
-                continue
-            seen.add(id(node))
-            for arg in node.args:
-                if getattr(arg, "args", None):
-                    stack.append(arg)
-                elif type(arg) in _VARS:
-                    index.setdefault(arg.name, []).append(cid)
-        return shared
+            args = getattr(node, "args", None)
+            if args:
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(args)
+            elif type(node) in _VARS:
+                index.setdefault(node.name, []).append(cid)
 
     def _holders(self, name: str, binder: int) -> set:
         """Live constraints other than `binder` that may contain `name`."""

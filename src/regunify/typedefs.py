@@ -22,7 +22,9 @@ argument types.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .errors import ArityMismatch, ConflictingOverride, TypeValidationError
 from .syntax import (
@@ -234,19 +236,23 @@ class SignatureEnv:
     """Schemes for constants, functions, and predicates.
 
     Lookups fall back to the defaults described in the module docstring.
-    Each default scheme is built once per key and then shared, so callers
-    must not change the three maps after construction.  Errors are never
+    Each default scheme is built once per key and then shared.  The three
+    maps are copied into read-only views at construction, so the defaults
+    and the declared functor names cannot go stale; to extend an
+    environment, build a new one (see with_function).  Errors are never
     remembered: a lookup that raises raises again on every call.
     """
 
-    constants: dict[str, TypeScheme] = field(default_factory=dict)
-    functions: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
-    predicates: dict[tuple[str, int], TypeScheme] = field(default_factory=dict)
+    constants: Mapping[str, TypeScheme] = field(default_factory=dict)
+    functions: Mapping[tuple[str, int], TypeScheme] = field(default_factory=dict)
+    predicates: Mapping[tuple[str, int], TypeScheme] = field(default_factory=dict)
     _functors: frozenset = field(init=False, repr=False, compare=False)  # names in `functions`
     _function_defaults: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _predicate_defaults: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("constants", "functions", "predicates"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(self, "_functors", frozenset(f for (f, _n) in self.functions))
 
     def lookup_constant(self, const: Const) -> TypeScheme:

@@ -8,6 +8,7 @@ from regunify import (
     Const,
     CtorApp,
     FuncType,
+    SignatureEnv,
     SymApp,
     TVar,
     TypeDef,
@@ -21,6 +22,7 @@ from regunify import (
 )
 from regunify.constraints import FreshSupply
 from regunify.errors import ArityMismatch, ConflictingOverride
+from regunify.syntax import free_ctor_symbol
 
 
 def _violation_kinds(defs_text):
@@ -167,6 +169,23 @@ def test_lookup_errors_are_raised_on_every_call(sig):
             sig.lookup_function("cons", 1)
         with pytest.raises(ArityMismatch, match="different arity"):
             sig.lookup_function("[]", 1)
+
+
+def test_maps_are_read_only_copies(sig):
+    # the cached defaults and functor names rest on maps nobody can change
+    functions = {("k", 2): sig.lookup_function("k", 2)}
+    env = SignatureEnv(functions=functions)
+    functions[("m", 1)] = sig.lookup_function("m", 1)
+    assert ("m", 1) not in env.functions  # the caller's later change is not seen ...
+    assert env.lookup_function("m", 2) is env.lookup_function("m", 2)  # ... by lookups either
+    for table in (env.constants, env.functions, env.predicates):
+        with pytest.raises(TypeError):
+            table[("z", 0)] = None
+    assert env.with_function("m", 1).lookup_function("m", 1).body.codomain == SymApp(
+        free_ctor_symbol("m"), (TVar("A1"),)
+    )
+    with pytest.raises(ArityMismatch, match="different arity"):
+        env.with_function("m", 1).lookup_function("m", 2)
 
 
 def test_declared_and_overridden_schemes_beat_the_defaults(defs):
