@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded
@@ -43,7 +43,6 @@ from .syntax import (
     TypeExpr,
     Var,
     apply_type_subst,
-    occurs_in,
     tree_counts,
 )
 from .constraints import (
@@ -105,26 +104,24 @@ class SolveRun:
     trace: tuple[TraceStep, ...]
 
 
-# Family-local rule numbers.
-_DECOMPOSE, _DELETE, _CLASH, _ORIENT, _ELIMINATE, _OCCURS = range(1, 7)
+# Family-local rule numbers.  _BOUND marks the binder of an eliminate, which
+# matches no rule from then on (see _Phase).
+_DECOMPOSE, _DELETE, _CLASH, _ORIENT, _ELIMINATE, _OCCURS, _BOUND = range(1, 8)
 
 
 def _family_rule(var: type, rigid: Callable) -> Callable:
     """The function giving the local rule a constraint lhs = rhs matches,
     read off the classes of its sides, for the family whose variables are of
     class `var`.  `rigid` decides two rigid sides of one class.  Eliminate
-    also stands for "no rule": whether eliminate applies depends on the
-    rest, and that is checked when it comes up.
+    also stands for occurs and for "no rule": whether the variable occurs in
+    the other side, and whether it occurs in the rest, are checked when the
+    constraint comes up.
     """
 
     def rule(lhs, rhs) -> int:
         kind = type(lhs)
         if kind is var:
-            if type(rhs) is var:
-                return _DELETE if lhs.name == rhs.name else _ELIMINATE
-            if getattr(rhs, "args", None) and occurs_in(lhs.name, rhs):
-                return _OCCURS
-            return _ELIMINATE
+            return _DELETE if type(rhs) is var and lhs.name == rhs.name else _ELIMINATE
         if type(rhs) is var:
             return _ORIENT
         if kind is not type(rhs):
@@ -168,62 +165,36 @@ class _Family(NamedTuple):
     """What the engine needs to know about one kind of constraint."""
 
     constraint: type
+    var: type  # the class of its variables
     rule: Callable  # (lhs, rhs) -> the local rule the constraint matches
     rebuild: Callable
     offset: int  # rule number = family-local rule (1-6) + offset
 
 
-_TYPES = _Family(TypeConstraint, _family_rule(TVar, _rigid_type_rule), _rebuild_type, 0)
-_TERMS = _Family(TermConstraint, _family_rule(Var, _rigid_term_rule), _rebuild_term, 6)
-
-_VARS = (Var, TVar)
+_TYPES = _Family(TypeConstraint, TVar, _family_rule(TVar, _rigid_type_rule), _rebuild_type, 0)
+_TERMS = _Family(TermConstraint, Var, _family_rule(Var, _rigid_term_rule), _rebuild_term, 6)
 
 # The last element of every order key (see _Phase); no counter reaches it.
 _LAST = sys.maxsize
-
-
-def _substitute(node, name: str, value, rebuild: Callable, memo: dict):
-    """`node` with `value` in place of every variable called `name`.
-
-    Returns `node` itself when the variable does not occur in it, so what a
-    step leaves alone stays shared.  `memo` maps the id of each compound node
-    already done to its result; one eliminate step shares it over all the
-    constraints it rewrites, so a subterm they share is rewritten once and
-    its result is again one object.
-    """
-    if not getattr(node, "args", None):
-        return value if isinstance(node, _VARS) and node.name == name else node
-    stack = [node]
-    while stack:
-        top = stack[-1]
-        if id(top) in memo:
-            stack.pop()
-            continue
-        todo = [a for a in top.args if getattr(a, "args", None) and id(a) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        args = []
-        for a in top.args:
-            if getattr(a, "args", None):
-                a = memo[id(a)]
-            elif isinstance(a, _VARS) and a.name == name:
-                a = value
-            args.append(a)
-        same = all(new is old for new, old in zip(args, top.args))
-        memo[id(top)] = top if same else rebuild(top, tuple(args))
-    return memo[id(node)]
 
 
 class _Phase:
     """One family's constraints, rewritten to a fixpoint by its six rules.
 
     Constraints are numbered (cid) as they are made and never renumbered.
-    Each one is kept as its two sides, and a constraint object is made only
-    when a trace, a witness or the caller asks for it.  What the rules'
-    definition recomputes at every step is kept up to date as the rules fire
-    instead:
+    Each one is kept as its two sides as they were written, and eliminate
+    does not rewrite them: it records its binding v -> s in a triangular
+    store keyed by variable name.  A side stands for the term it denotes
+    under the store, every bound variable replaced by its binding all the
+    way down, and that is the side the rules' definition sees.  So a binding
+    costs the constraints whose rule it can change, not every constraint
+    that holds v.  A constraint object is built through the store only when
+    a trace, a witness or the caller asks for it.
+
+    A rule is read off the sides' top nodes after following the store
+    (_deref; see _family_rule), with no head keys built and no structural
+    comparison.  What the rules' definition recomputes at every step is kept
+    up to date as the rules fire instead:
 
     - Order keys.  Keys are tuples ending in _LAST that compare like the
       positions of their constraints in the sequence.  Decompose gives its
@@ -233,89 +204,239 @@ class _Phase:
     - One heap of (rule, key, cid) entries.  Its least valid entry is the
       lowest rule that applies anywhere and the leftmost constraint it
       matches, so a step looks at one heap top, not one per rule.  Entries
-      go stale when their constraint is rewritten or removed and are dropped
-      when they reach the top.
-    - The occurrence count of every variable.  Decompose and orient keep
-      them; delete and eliminate adjust them.  An eliminate candidate found
-      with a count of 1 is dropped for good: its variable could only gain
-      occurrences from a bound term that holds it, and then it would have
-      occurred twice already.  A rewritten constraint is queued afresh.
-    - An index from each variable to the constraints it may occur in.  A
-      decomposed constraint forwards to its last child; the other children
-      are indexed when they are made, so a spine is never walked again.
+      go stale when their constraint is read again or removed and are
+      dropped when they reach the top.  An eliminate entry is a lower
+      bound: when it reaches the top, the variable may occur in the other
+      side by now, which makes it occurs, or only once in the state, which
+      makes it no rule and drops it for good (it could only gain
+      occurrences from a binding that holds it, and then it would have
+      occurred twice already).
+    - The occurrence count of every variable in the state the sides denote.
+      Decompose and orient keep them; delete and eliminate adjust them.
+    - For each variable, the constraints that may have it at the top of a
+      side.  A binding fires only when no rule below eliminate applies, so
+      every other live constraint is then u = t with u an unbound variable,
+      and only those with v at a top can change rule.  When s is rigid all
+      of them are read again.  When s is a variable, v's list joins s's,
+      the shorter onto the longer, and only the constraints between v and s
+      have changed: they are now deletes, found in the shorter list.
 
-    A constraint's rule is read off the classes of its two sides (see
-    _family_rule), with no head keys built and no structural comparison.
-    Only eliminate needs the counts and the index, so both are taken when it
-    first comes up; a run that ends before that never counts or indexes.
+    Only eliminate needs the counts and the lists, so both are taken when
+    it first comes up, before the first binding; a run that ends before
+    that never counts, lists or binds.  With a trace, the object made for
+    each constraint is kept until a binding reaches it, through an index
+    from each variable to the constraints that may hold it; without one,
+    none of this is kept.
     """
 
-    def __init__(self, constraints, family: _Family):
+    __slots__ = (
+        "family", "var", "lhs", "rhs", "keys", "rules", "heap", "bound", "below",
+        "counts", "tops", "inside", "made", "index", "forward", "fresh",
+    )
+
+    def __init__(self, constraints, family: _Family, trace: bool = False):
         self.family = family
-        self.made: list = list(constraints)  # cid -> its constraint object, None until made
-        self.lhs: list = [c.lhs for c in self.made]  # cid -> left side
-        self.rhs: list = [c.rhs for c in self.made]  # cid -> right side
-        n = len(self.made)
+        self.var = family.var
+        constraints = list(constraints)
+        self.lhs: list = [c.lhs for c in constraints]  # cid -> left side, as written
+        self.rhs: list = [c.rhs for c in constraints]  # cid -> right side, as written
+        n = len(constraints)
         self.keys: list = [(i, _LAST) for i in range(n)]  # cid -> order key
         # cid -> local rule its constraint matches; 0 once decomposed or deleted
         self.rules: list = list(map(family.rule, self.lhs, self.rhs))
         self.heap = list(zip(self.rules, self.keys, range(n)))
         heapify(self.heap)
+        self.bound: dict = {}  # variable -> its binding, as written
         self.counts: Optional[dict[str, int]] = None  # variable -> occurrences
-        self.index: Optional[dict[str, list]] = None  # variable -> cids, each live or forwarding
+        self.tops: Optional[dict[str, list]] = None  # variable -> cids, each maybe stale
+        self.inside: Optional[dict[str, int]] = None  # counts of the redex's binding
+        self.below: dict[str, dict] = {}  # bound variable -> counts of its binding
+        # traced only: cid -> its constraint object, None until made
+        self.made: Optional[list] = constraints if trace else None
+        self.index: Optional[dict[str, list]] = None  # traced only: variable -> cids
         self.forward: dict[int, int] = {}  # decomposed cid -> cid of its last child
         self.fresh = n
 
+    # --- the store -------------------------------------------------------------
+
+    def _deref(self, node):
+        """What the top of `node` stands for: `node`, or the end of the chain
+        of bindings from it.  The chain's bindings are moved to its end.
+        """
+        var, bound = self.var, self.bound
+        if type(node) is not var or node.name not in bound:
+            return node
+        passed = []
+        while type(node) is var and node.name in bound:
+            passed.append(node.name)
+            node = bound[node.name]
+        for name in passed[:-1]:
+            bound[name] = node
+        return node
+
+    def _resolve(self, node, memo: dict):
+        """The term or type `node` stands for under the store.
+
+        Returns `node` itself when no bound variable occurs in it, so what the
+        store leaves alone stays shared.  `memo` maps the id of each compound
+        node and the name of each bound variable already done to its result;
+        sharing it over several sides keeps a subterm they share one object.
+        """
+        var, bound, rebuild = self.var, self.bound, self.family.rebuild
+        if type(node) is var:
+            if node.name not in bound:
+                return node
+            node = self._deref(node)
+        if not bound or not getattr(node, "args", None):
+            return node
+
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            args = getattr(top, "args", None)
+            key = id(top) if args else top.name
+            if key in memo:
+                stack.pop()
+                continue
+            new, todo, same = [], False, True
+            for kid in args or (bound[key],):
+                if getattr(kid, "args", None):
+                    got = memo.get(id(kid))
+                elif type(kid) is var and kid.name in bound:
+                    got = memo.get(kid.name)
+                else:
+                    got = kid
+                if got is None:
+                    stack.append(kid)
+                    todo = True
+                else:
+                    new.append(got)
+                    same = same and got is kid
+            if todo:
+                continue
+            stack.pop()
+            if not args:
+                memo[key] = new[0]
+            else:
+                memo[key] = top if same else rebuild(top, tuple(new))
+        return memo[id(node)]
+
+    def _counts_under(self, roots) -> dict[str, int]:
+        """Occurrences of each variable in the trees that `roots` stand for
+        under the store, counted as syntax.tree_counts counts them: a subterm
+        shared by several parents counts once per path that reaches it.  The
+        walk stops at bound variables, each of which counts as the tree its
+        binding stands for (_binding_counts).
+        """
+        counts = tree_counts(roots)[0]
+        bound = self.bound
+        for name in [name for name in counts if name in bound]:
+            times = counts.pop(name)
+            for var, n in self._binding_counts(name).items():
+                counts[var] = counts.get(var, 0) + times * n
+        return counts
+
+    def _binding_counts(self, name: str) -> dict[str, int]:
+        """Occurrences of each variable in the tree that bound variable
+        `name` stands for.  Each binding's counts are taken when it is made
+        and brought up to date when read: a variable bound since then gives
+        way to the counts of its own binding, updated first.
+        """
+        bound, below = self.bound, self.below
+        done: set = set()
+        stack = [name]
+        while stack:
+            top = stack[-1]
+            todo = [var for var in below[top] if var in bound and var not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            done.add(top)
+            old = below[top]
+            if any(var in bound for var in old):
+                new: dict[str, int] = {}
+                for var, n in old.items():
+                    for v, k in below[var].items() if var in bound else ((var, 1),):
+                        new[v] = new.get(v, 0) + n * k
+                below[top] = new
+        return below[name]
+
     # --- bookkeeping ---------------------------------------------------------
 
-    def _add(self, lhs, rhs, key) -> int:
-        cid = len(self.rules)
-        self.made.append(None)
-        self.lhs.append(lhs)
-        self.rhs.append(rhs)
-        self.keys.append(key)
-        rule = self.family.rule(lhs, rhs)
-        self.rules.append(rule)
-        heappush(self.heap, (rule, key, cid))
-        return cid
-
-    def _set(self, cid: int, lhs, rhs) -> None:
-        """Put lhs = rhs in place of constraint `cid` and queue the rule it matches."""
-        self.made[cid] = None
+    def _queue(self, cid: int, lhs, rhs) -> None:
+        """Make lhs = rhs constraint `cid`, its tops read through the store,
+        and queue the rule it matches.
+        """
+        bound = self.bound
+        if bound:
+            var, tops = self.var, self.tops
+            if type(lhs) is var:
+                if lhs.name in bound:
+                    lhs = self._deref(lhs)
+                if type(lhs) is var:
+                    tops.setdefault(lhs.name, []).append(cid)
+            if type(rhs) is var:
+                if rhs.name in bound:
+                    rhs = self._deref(rhs)
+                if type(rhs) is var:
+                    tops.setdefault(rhs.name, []).append(cid)
         self.lhs[cid] = lhs
         self.rhs[cid] = rhs
         rule = self.rules[cid] = self.family.rule(lhs, rhs)
         heappush(self.heap, (rule, self.keys[cid], cid))
 
-    def constraint(self, cid: int):
-        """Constraint `cid` as an object, made once per rewrite."""
-        c = self.made[cid]
-        if c is None:
-            c = self.made[cid] = self.family.constraint(self.lhs[cid], self.rhs[cid])
+    def _add(self, lhs, rhs, key) -> int:
+        cid = len(self.rules)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
+        self.keys.append(key)
+        self.rules.append(0)
+        if self.made is not None:
+            self.made.append(None)
+        self._queue(cid, lhs, rhs)
+        return cid
+
+    def constraint(self, cid: int, memo: Optional[dict] = None):
+        """Constraint `cid` as an object, with the sides it stands for.  A
+        binder's left side is its own variable, which the store binds.
+        """
+        made = self.made
+        if made is not None and made[cid] is not None:
+            return made[cid]
+        if memo is None:
+            memo = {}
+        lhs = self.lhs[cid]
+        if self.rules[cid] != _BOUND:
+            lhs = self._resolve(lhs, memo)
+        c = self.family.constraint(lhs, self._resolve(self.rhs[cid], memo))
+        if made is not None:
+            made[cid] = c
         return c
 
     def _census(self) -> None:
-        """Count and index the variables of the live constraints."""
+        """Count the variables of the live constraints.  With a trace, also
+        index each constraint under the variables its count finds.  The
+        store is still empty, and each constraint is walked once.
+        """
         live = [cid for cid, rule in enumerate(self.rules) if rule]
-        sides = [side for cid in live for side in (self.lhs[cid], self.rhs[cid])]
-        self.counts = tree_counts(sides)[0]
+        if self.made is None:
+            self.counts = self._counts_under([s for c in live for s in (self.lhs[c], self.rhs[c])])
+            return
+        counts = self.counts = {}
         self.index = {}
         for cid in live:
-            self._index(cid)
+            for name, n in self._index(cid).items():
+                counts[name] = counts.get(name, 0) + n
 
-    def _index(self, cid: int) -> None:
-        """Enter `cid` under each variable of its constraint."""
-        index = self.index
-        stack, seen = [self.lhs[cid], self.rhs[cid]], set()
-        while stack:
-            node = stack.pop()
-            args = getattr(node, "args", None)
-            if args:
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    stack.extend(args)
-            elif type(node) in _VARS:
-                index.setdefault(node.name, []).append(cid)
+    def _index(self, cid: int) -> dict[str, int]:
+        """Enter `cid` under each variable its constraint stands for, and
+        return how often each occurs in it.
+        """
+        found = self._counts_under((self.lhs[cid], self.rhs[cid]))
+        for name in found:
+            self.index.setdefault(name, []).append(cid)
+        return found
 
     def _holders(self, name: str, binder: int) -> set:
         """Live constraints other than `binder` that may contain `name`."""
@@ -340,90 +461,136 @@ class _Phase:
 
     def ordered(self) -> tuple:
         """The live constraints in sequence order."""
-        return tuple(map(self.constraint, self._live()))
+        made, make, memo = self.made, self.constraint, {}
+        return tuple([made[cid] or make(cid, memo) for cid in self._live()])
 
     def unifier(self) -> dict:
         """The unifier the constraints spell out once in solved form."""
+        bound, rules, var, memo = self.bound, self.rules, self.var, {}
         out = {}
         for cid in self._live():
-            lhs = self.lhs[cid]
-            assert isinstance(lhs, _VARS), "constraints not in solved form"
-            out[lhs.name] = self.rhs[cid]
+            lhs, rhs = self.lhs[cid], self.rhs[cid]
+            if bound:
+                if rules[cid] != _BOUND and lhs.name in bound:
+                    lhs = self._deref(lhs)
+                if getattr(rhs, "args", None) or type(rhs) is var and rhs.name in bound:
+                    rhs = self._resolve(rhs, memo)
+            assert type(lhs) is self.var, "constraints not in solved form"
+            out[lhs.name] = rhs
         return out
 
     # --- the rules -----------------------------------------------------------
 
     def redex(self) -> Optional[tuple[int, int]]:
         """Lowest applicable local rule and the leftmost cid it matches."""
-        heap, rules = self.heap, self.rules
+        heap, rules, var, bound = self.heap, self.rules, self.var, self.bound
         while heap:
-            rule, _key, cid = heap[0]
-            if rule == _ELIMINATE:
+            rule, key, cid = heap[0]
+            if rules[cid] == rule:
+                if rule != _ELIMINATE:
+                    return rule, cid
                 if self.counts is None:
                     self._census()
-                if rules[cid] == rule and self.counts[self.lhs[cid].name] > 1:
-                    return rule, cid
-            elif rules[cid] == rule:
-                return rule, cid
+                lhs = self.lhs[cid]
+                if lhs.name in bound:
+                    lhs = self.lhs[cid] = self._deref(lhs)
+                if self.counts[lhs.name] > 1:
+                    rhs = self.rhs[cid]
+                    if type(rhs) is var and rhs.name in bound:
+                        rhs = self.rhs[cid] = self._deref(rhs)
+                    if type(rhs) is var:
+                        inside = {rhs.name: 1}
+                    elif getattr(rhs, "args", None):
+                        inside = self._counts_under((rhs,))
+                    else:
+                        inside = {}
+                    if lhs.name not in inside:
+                        self.inside = inside
+                        return rule, cid
+                    rules[cid] = _OCCURS
+                    heapreplace(heap, (_OCCURS, key, cid))
+                    continue
             heappop(heap)
         return None
 
     def fire(self, rule: int, cid: int) -> None:
-        """Apply decompose, delete, orient or eliminate to constraint `cid`."""
+        """Apply decompose, delete, orient or eliminate to constraint `cid`.
+        With a trace, what orient and decompose make is built from the
+        object of `cid`, whose sides already stand for what they denote.
+        """
         lhs, rhs = self.lhs[cid], self.rhs[cid]
+        made = self.made
         if rule == _ORIENT:
-            self._set(cid, rhs, lhs)
+            if made is not None:
+                old = self.constraint(cid)
+                made[cid] = self.family.constraint(old.rhs, old.lhs)
+            self._queue(cid, rhs, lhs)
         elif rule == _ELIMINATE:
             self._eliminate(cid, lhs.name, rhs)
         else:
             self.rules[cid] = 0
             if rule == _DELETE:
-                if type(lhs) in _VARS and self.counts is not None:
+                if type(lhs) is self.var and self.counts is not None:
                     self.counts[lhs.name] -= 2
                 return
             key = self.keys[cid]
             pairs = list(zip(lhs.args, rhs.args))
+            children = []
             for a, b in pairs[:-1]:
-                child = self._add(a, b, key[:-1] + (self.fresh, _LAST))
+                children.append(self._add(a, b, key[:-1] + (self.fresh, _LAST)))
                 self.fresh += 1
-                if self.index is not None:
+            children.append(self._add(*pairs[-1], key))
+            if made is None:
+                return
+            old = self.constraint(cid)
+            for child, a, b in zip(children, old.lhs.args, old.rhs.args):
+                made[child] = self.family.constraint(a, b)
+            if self.index is not None:
+                for child in children[:-1]:
                     self._index(child)
-            self.forward[cid] = self._add(*pairs[-1], key)
+                self.forward[cid] = children[-1]
 
     def _eliminate(self, binder: int, name: str, value) -> None:
-        """Substitute `value` for `name` in every other constraint holding it."""
-        rebuild = self.family.rebuild
-        lhs_of, rhs_of, rules = self.lhs, self.rhs, self.rules
-        if getattr(value, "args", None):
-            inside = tree_counts((value,))[0]
-        else:
-            inside = {value.name: 1} if type(value) in _VARS else {}
-        memo: dict = {}
-        rewritten = []
-        for cid in self._holders(name, binder):
-            lhs, rhs = lhs_of[cid], rhs_of[cid]
-            new_lhs = _substitute(lhs, name, value, rebuild, memo)
-            new_rhs = _substitute(rhs, name, value, rebuild, memo)
-            if new_lhs is not lhs or new_rhs is not rhs:
-                rewritten.append((cid, new_lhs, new_rhs, new_lhs is lhs))
-        # the old sides stay alive until here, so no id in memo is reused
-        for cid, lhs, rhs, same_lhs in rewritten:
-            if same_lhs and rules[cid] == _ELIMINATE and lhs.name not in inside:
-                # v = s became v = s' with v in neither s nor `value`: still
-                # an eliminate candidate, and its heap entry still stands
-                rhs_of[cid] = rhs
-                self.made[cid] = None
-            else:
-                self._set(cid, lhs, rhs)
-        changed = [cid for cid, *_sides in rewritten]
-        counts, index = self.counts, self.index
-        index[name] = [binder]
+        """Bind `name` to `value` and read again the rules that can change."""
+        inside, self.inside = self.inside, None
+        self.bound[name] = value
+        self.below[name] = inside
+        rules, counts = self.rules, self.counts
+        rules[binder] = _BOUND
         replaced = counts[name] - 1  # all but the binder's own left side
         counts[name] = 1
         for var, n in inside.items():
             counts[var] += replaced * n
-            index.setdefault(var, []).extend(changed)
-
+        if self.index is not None:
+            holders = self._holders(name, binder)
+            for cid in holders:
+                self.made[cid] = None
+            self.index[name] = [binder]
+            for var in inside:
+                self.index.setdefault(var, []).extend(holders)
+        tops, deref = self.tops, self._deref
+        if tops is None:  # the first binding: list the tops of what is live
+            tops = self.tops = {}
+            for cid, rule in enumerate(rules):
+                if rule:
+                    for side in (self.lhs[cid], self.rhs[cid]):
+                        if type(side) is self.var:
+                            tops.setdefault(side.name, []).append(cid)
+        moved = tops.pop(name, [])
+        var = self.var
+        if type(value) is not var:
+            for cid in moved:  # those with `name` on the left change rule
+                if rules[cid] and rules[cid] != _BOUND and type(deref(self.lhs[cid])) is not var:
+                    self._queue(cid, self.lhs[cid], self.rhs[cid])
+            return
+        short, long = sorted((moved, tops.get(value.name, [])), key=len)
+        long.extend(short)
+        tops[value.name] = long
+        for cid in short:
+            if rules[cid] == _ELIMINATE:
+                lhs, rhs = deref(self.lhs[cid]), deref(self.rhs[cid])
+                if type(rhs) is var and rhs.name == lhs.name:
+                    self._queue(cid, lhs, rhs)
 
 def solve(
     state: ConstraintState, trace: bool = False, max_steps: int | None = None
@@ -435,11 +602,12 @@ def solve(
     unifier; otherwise both unifiers.  `max_steps` defaults to
     size(state)**2 * 64, which no input should ever reach.
 
-    Each step costs what it touches, not the size of the whole state; see
-    _Phase.  The term phase is set up only once the type rules reach their
-    fixpoint, so a wrong result never builds it.  Eliminate shares the bound
-    subterm instead of copying it, so the unifiers can hold one object in
-    many places.
+    Each step costs what it touches, not the size of the whole state, and
+    eliminate binds instead of substituting; see _Phase.  The term phase is
+    set up only once the type rules reach their fixpoint, so a wrong result
+    never builds it.  The unifiers, the witness and each traced state are
+    built from the store with one memo per state, so a subterm that many
+    bindings share is one object in all of them.
     """
     # The default budget needs the size of the whole state.  Every constraint
     # has at least two nodes, so until the steps pass the bound that gives,
@@ -447,7 +615,7 @@ def solve(
     exact = max_steps is not None
     if not exact:
         max_steps = max(1, 2 * (len(state.terms) + len(state.types))) ** 2 * BUDGET_FACTOR
-    types = phase = _Phase(state.types, _TYPES)
+    types = phase = _Phase(state.types, _TYPES, trace)
     terms = None  # set up once the type rules reach their fixpoint
     steps = 0
     trace_steps: list[TraceStep] = []
@@ -456,7 +624,7 @@ def solve(
         if redex is None:
             if terms is not None:
                 break
-            terms = phase = _Phase(state.terms, _TERMS)
+            terms = phase = _Phase(state.terms, _TERMS, trace)
             continue
         steps += 1
         if steps > max_steps and not exact:
