@@ -21,6 +21,12 @@ term disagreement (false).  The eliminate rules carry the side condition
 At a fixpoint both constraint sets are in solved form: every constraint binds
 a distinct variable that appears nowhere else, so reading them off gives
 idempotent substitutions.
+
+The engine (_Phase) runs these rules without doing what eliminate says
+literally: it binds v to s in a store and reads every constraint through
+it, so the substitution is made only where a state, a witness or a unifier
+is built.  Every step, trace state and result is the one the rules as
+stated give.
 """
 
 from __future__ import annotations
@@ -221,9 +227,11 @@ class _Phase:
       the shorter onto the longer, and only the constraints between v and s
       have changed: they are now deletes, found in the shorter list.
 
-    Only eliminate needs the counts and the lists, so both are taken when
-    it first comes up, before the first binding; a run that ends before
-    that never counts, lists or binds.  With a trace, the object made for
+    Only eliminate needs the counts, so they are taken when it first comes
+    up, and the lists when it first binds; a run that ends before that
+    never counts, lists or binds.  The count of what a binding stands for
+    is kept with it (_binding_counts), so eliminating v = s walks s as
+    written, not the tree it stands for.  With a trace, the object made for
     each constraint is kept until a binding reaches it, through an index
     from each variable to the constraints that may hold it; without one,
     none of this is kept.
@@ -254,7 +262,7 @@ class _Phase:
         # traced only: cid -> its constraint object, None until made
         self.made: Optional[list] = constraints if trace else None
         self.index: Optional[dict[str, list]] = None  # traced only: variable -> cids
-        self.forward: dict[int, int] = {}  # decomposed cid -> cid of its last child
+        self.forward: dict[int, int] = {}  # traced only: decomposed cid -> last child
         self.fresh = n
 
     # --- the store -------------------------------------------------------------
@@ -591,6 +599,7 @@ class _Phase:
                 lhs, rhs = deref(self.lhs[cid]), deref(self.rhs[cid])
                 if type(rhs) is var and rhs.name == lhs.name:
                     self._queue(cid, lhs, rhs)
+
 
 def solve(
     state: ConstraintState, trace: bool = False, max_steps: int | None = None

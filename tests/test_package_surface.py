@@ -1,13 +1,17 @@
 """The package's surface: no dead imports, an `__all__` that resolves, and
-no recursive function beyond a shrinking list.
+no recursive function or generated tree walk beyond a shrinking list.
 
 Standard library only (`ast`), so it runs wherever the rest of the suite does.
 """
 
 import ast
+import dataclasses
+import importlib
+import typing
 from pathlib import Path
 
 import regunify
+from regunify import Base, Bool, Compound, Const, CtorApp, SymApp, Term, TVar, Var
 
 SRC = Path(regunify.__file__).parent
 
@@ -111,3 +115,118 @@ def test_self_call_is_reported():
         "def g():\n    return f(0)\n"
     )
     assert list(_self_calling(tree)) == ["f", "m"]
+
+
+# Dataclasses under src/ whose fields can hold terms or types and that keep a
+# generated `__eq__`, `__hash__` or `__repr__`.  Those methods walk a shared
+# subterm as a tree and recurse once per level (ROADMAP item 2), and the
+# ast scan above cannot see them, because no source spells them out.  The
+# list may only shrink: a class that gets its own methods leaves it.
+GENERATED_WALKS = {
+    "constraints.ConstraintState",
+    "constraints.TermConstraint",
+    "constraints.TypeConstraint",
+    "resolution.BranchNote",
+    "resolution.Clause",
+    "resolution.ResolveReport",
+    "resolution.Yes",
+    "solver.PrincipalTyping",
+    "solver.SolveFalse",
+    "solver.SolveRun",
+    "solver.SolveWrong",
+    "solver.Solved",
+    "solver.TraceStep",
+    "solver.UnifyRun",
+    "syntax.Compound",
+    "syntax.CtorApp",
+    "syntax.FuncType",
+    "syntax.SymApp",
+    "syntax.TypeScheme",
+    "typecheck._MatchState",
+    "typedefs.SignatureEnv",
+    "typedefs.TypeDef",
+}
+
+_NODES = (Var, Const, Compound, TVar, Base, Bool, SymApp, CtorApp)
+
+
+def _generated_walks(classes):
+    """The dataclasses among `classes` whose fields can hold a term or type,
+    directly or through another of them, and that keep a generated method.
+    """
+    hints = {
+        cls: [typing.get_type_hints(cls)[f.name] for f in dataclasses.fields(cls)]
+        for cls in classes
+    }
+
+    def holds(hint, holders):
+        stack = [hint]
+        while stack:
+            t = stack.pop()
+            if t in _NODES or t in holders:
+                return True
+            stack.extend(typing.get_args(t))
+        return False
+
+    holders: set = set()
+    grown = True
+    while grown:
+        new = {c for c, hs in hints.items() if c not in holders and any(holds(h, holders) for h in hs)}
+        holders |= new
+        grown = bool(new)
+
+    def generated(cls, name):  # dataclass methods are compiled from strings
+        fn = cls.__dict__.get(name)
+        code = getattr(getattr(fn, "__wrapped__", fn), "__code__", None)
+        return code is not None and code.co_filename == "<string>"
+
+    return [
+        cls for cls in classes
+        if cls in holders and any(generated(cls, m) for m in ("__eq__", "__hash__", "__repr__"))
+    ]
+
+
+def test_no_new_generated_walk():
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"regunify.{path.stem}")
+        classes += [
+            obj for obj in vars(module).values()
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+            and obj.__module__ == module.__name__
+        ]
+    found = {
+        f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}" for cls in _generated_walks(classes)
+    }
+    assert sorted(found - GENERATED_WALKS) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    term: Term
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: tuple[_Holder, ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+class _Written:
+    term: Term
+
+    def __repr__(self):
+        return "written"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Plain:
+    name: str
+
+
+def test_generated_walk_is_reported():
+    # a term field, one reached through another dataclass, a class with its
+    # own methods and one with no term in reach
+    assert _generated_walks([_Holder, _Outer, _Written, _Plain]) == [_Holder, _Outer]

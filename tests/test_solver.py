@@ -265,3 +265,36 @@ def test_chain_result_shares_subterms():
         return sizes[id(t)]
 
     assert tree_size(run.result.subst[f"X{n}"]) == 2 ** (n + 1) - 1
+
+
+# --- deep states --------------------------------------------------------------------
+
+
+def test_ten_thousand_deep_state_solves():
+    # the store's deref, materialise and occurs walks are loops, so a binding
+    # 10**4 levels deep costs no Python stack; `==` on the deep results would
+    # recurse, so their shapes are walked here by hand
+    n = 10_000
+    a, b, c = TVar("A"), TVar("B"), TVar("C")
+    spine = b
+    for _ in range(n):
+        spine = lst(spine)
+    x_side, one_side = Var("X"), mk_int(1)
+    for _ in range(n):
+        x_side, one_side = Compound("f", (x_side,)), Compound("f", (one_side,))
+    state = ConstraintState(
+        terms=(TermConstraint(x_side, one_side),),
+        types=(TypeConstraint(a, spine), TypeConstraint(b, Base("int")), TypeConstraint(c, a)),
+    )
+    run = solve(state)
+    assert isinstance(run.result, Solved)
+    assert run.steps == n + 2  # eliminate A, eliminate B, then n decomposes
+    assert run.result.subst == {"X": mk_int(1)}
+    type_subst = run.result.type_subst
+    assert list(type_subst) == ["A", "B", "C"] and type_subst["B"] == Base("int")
+    assert type_subst["C"] is type_subst["A"]  # one object for the one binding
+    depth, ty = 0, type_subst["A"]
+    while isinstance(ty, SymApp):
+        assert ty.symbol == "list" and len(ty.args) == 1
+        depth, ty = depth + 1, ty.args[0]
+    assert depth == n and ty == Base("int")

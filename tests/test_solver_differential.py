@@ -147,6 +147,31 @@ def test_hand_picked_states_match_reference():
     ]
     verdicts = [assert_same(state) for state in states]
     assert verdicts == ["solved", "solved", "wrong", "false", "false", "solved"]
+    # corners of the binding store: eliminate records v -> s and leaves the
+    # other constraints as they were written
+    D = TVar("D")
+    states = [
+        # A's class is the larger: A -> B merges A's tops into B's shorter
+        # list, and (B, A) is found there as a delete
+        _types((A, B), (A, C), (A, INT), (B, A)),
+        # (A, B), (B, A): the second is B = B once A is renamed to B
+        _types((A, B), (B, A)),
+        _terms((X, Y), (Y, X)),
+        # D = A holds D only once B, nested in the binding of A, is bound to D
+        _types((C, D), (A, SymApp("list", (B,))), (B, C), (D, A)),
+        # a second binder of a renamed variable: A = INT is then B = INT
+        _types((A, B), (A, INT), (B, Base("float"))),
+        _terms((X, Y), (X, mk_int(1)), (Y, mk_int(2))),
+        # A occurs in no other constraint but twice in its own: occurs, not
+        # dropped as a variable seen once; the same after a rename
+        _types((B, INT), (A, SymApp("list", (A,)))),
+        _types((B, A), (A, SymApp("list", (B,)))),
+        _terms((X, Compound("f", (X,))), (Y, mk_int(1))),
+    ]
+    verdicts = [assert_same(state) for state in states]
+    assert verdicts == [
+        "solved", "solved", "solved", "wrong", "wrong", "false", "wrong", "wrong", "false"
+    ]
 
 
 def test_classification_corners_match_reference():
@@ -253,6 +278,21 @@ def test_shapes_match_reference():
         for n, variant in itertools.product(sizes, ("solved", "false", "wrong")):
             verdicts.append(assert_same(equation_state(*shape(n, variant))))
     assert set(verdicts) == {"solved", "false", "wrong"}
+
+
+def test_shapes_match_reference_at_benchmark_sizes():
+    # the largest unify_large sizes, where the store's bindings chain and
+    # share the most; traced at smaller sizes, where the reference's copied
+    # states stay cheap
+    for shape, n, traced in (
+        (wide, 100, False), (deep, 45, False), (chain, 12, False),
+        (wide, 25, True), (deep, 20, True), (chain, 8, True),
+    ):
+        verdicts = [
+            assert_same(equation_state(*shape(n, variant)), trace=traced)
+            for variant in ("solved", "false", "wrong")
+        ]
+        assert verdicts == ["solved", "false", "wrong"], (shape.__name__, n)
 
 
 def test_long_run_on_one_constraint():
