@@ -252,23 +252,6 @@ def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:
 free_type_vars = free_vars
 
 
-def occurs_in(name: str, node: Union[Term, TypeExpr]) -> bool:
-    """Whether a variable called `name` occurs in a term or type expression.
-    Iterative, and a subterm shared by several parents is searched once.
-    """
-    stack, seen = [node], set()
-    while stack:
-        node = stack.pop()
-        args = getattr(node, "args", None)
-        if args:
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(args)
-        elif isinstance(node, (Var, TVar)) and node.name == name:
-            return True
-    return False
-
-
 def tree_counts(roots) -> tuple[dict[str, int], int]:
     """Occurrences of each variable name, and the number of nodes, in the
     trees that the terms or type expressions `roots` denote.

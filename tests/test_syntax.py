@@ -21,7 +21,7 @@ from regunify import (
     mk_int,
     mk_list,
 )
-from regunify.syntax import FuncType, occurs_in, term_size, tree_counts
+from regunify.syntax import FuncType, term_size, tree_counts
 
 INT = Base("int")
 
@@ -60,12 +60,6 @@ def test_apply_type_subst_structural():
             SymApp("list", (SymApp("list", (TVar("G"),)),)),
         ),
     )
-
-
-def test_occurs_in():
-    assert occurs_in("X", Compound("f", (Compound("g", (Var("X"),)),)))
-    assert not occurs_in("X", Compound("f", (Var("Y"),)))
-    assert occurs_in("A", SymApp("list", (TVar("A"),)))
 
 
 def test_free_vars():
@@ -111,7 +105,6 @@ def test_shared_subterms_count_as_trees():
         t = Compound("g", (t, t))
     assert term_size(t) == 2**41 - 1
     assert tree_counts((t, Var("X"), mk_int(0))) == ({"X": 2**40 + 1}, 2**41 + 1)
-    assert occurs_in("X", t) and not occurs_in("Y", t)
 
 
 # --- property tests --------------------------------------------------------------
@@ -143,9 +136,8 @@ def _naive_free_vars(t, acc=None):
     return acc
 
 
-@given(terms(), _names, terms(depth=2))
-def test_occurs_iff_free(t, name, other):
-    assert occurs_in(name, t) == (name in free_vars(t))
+@given(terms(), terms(depth=2))
+def test_free_vars_matches_recursive_walk(t, other):
     assert free_vars(t) == _naive_free_vars(t)
     shared = Compound("g", (t, other, t))  # the same object twice
     assert free_vars(shared) == _naive_free_vars(shared)
