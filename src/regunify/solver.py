@@ -591,7 +591,9 @@ class _Phase:
                 if rules[cid] and rules[cid] != _BOUND and type(deref(self.lhs[cid])) is not var:
                     self._queue(cid, self.lhs[cid], self.rhs[cid])
             return
-        short, long = sorted((moved, tops.get(value.name, [])), key=len)
+        short, long = moved, tops.get(value.name, [])
+        if len(long) < len(short):
+            short, long = long, short
         long.extend(short)
         tops[value.name] = long
         for cid in short:
