@@ -34,7 +34,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Callable, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded
 from .syntax import (
@@ -183,6 +184,9 @@ _TERMS = _Family(TermConstraint, Var, _family_rule(Var, _rigid_term_rule), _rebu
 # The last element of every order key (see _Phase); no counter reaches it.
 _LAST = sys.maxsize
 
+# What a phase reads through until its first binding.
+_UNBOUND: Mapping = MappingProxyType({})
+
 
 class _Phase:
     """One family's constraints, rewritten to a fixpoint by its six rules.
@@ -222,9 +226,10 @@ class _Phase:
     - For each variable, the constraints that may have it at the top of a
       side.  A binding fires only when no rule below eliminate applies, so
       every other live constraint is then u = t with u an unbound variable,
-      and only those with v at a top can change rule.  When s is rigid all
-      of them are read again.  When s is a variable, v's list joins s's,
-      the shorter onto the longer, and only the constraints between v and s
+      and only those with v at a top can move to a lower rule.  When s is
+      rigid, those with v on the left are read again; u = v stays an
+      eliminate candidate.  When s is a variable, v's list joins s's, the
+      shorter onto the longer, and only the constraints between v and s
       have changed: they are now deletes, found in the shorter list.
 
     Only eliminate needs the counts, so they are taken when it first comes
@@ -234,13 +239,8 @@ class _Phase:
     written, not the tree it stands for.  With a trace, the object made for
     each constraint is kept until a binding reaches it, through an index
     from each variable to the constraints that may hold it; without one,
-    none of this is kept.
+    there is no index, and the objects are kept until the first binding.
     """
-
-    __slots__ = (
-        "family", "var", "lhs", "rhs", "keys", "rules", "heap", "bound", "below",
-        "counts", "tops", "inside", "made", "index", "forward", "fresh",
-    )
 
     def __init__(self, constraints, family: _Family, trace: bool = False):
         self.family = family
@@ -254,14 +254,16 @@ class _Phase:
         self.rules: list = list(map(family.rule, self.lhs, self.rhs))
         self.heap = list(zip(self.rules, self.keys, range(n)))
         heapify(self.heap)
-        self.bound: dict = {}  # variable -> its binding, as written
+        self.bound: Mapping = _UNBOUND  # variable -> its binding, as written
         self.counts: Optional[dict[str, int]] = None  # variable -> occurrences
         self.tops: Optional[dict[str, list]] = None  # variable -> cids, each maybe stale
         self.inside: Optional[dict[str, int]] = None  # counts of the redex's binding
-        self.below: dict[str, dict] = {}  # bound variable -> counts of its binding
-        # traced only: cid -> its constraint object, None until made
-        self.made: Optional[list] = constraints if trace else None
-        self.index: Optional[dict[str, list]] = None  # traced only: variable -> cids
+        self.below: Mapping = _UNBOUND  # bound variable -> counts of its binding
+        # cid -> its constraint object, None until made; without a trace,
+        # kept only until the first binding
+        self.made: list = constraints
+        # traced only: variable -> cids, each live or forwarding
+        self.index: Optional[dict[str, list]] = {} if trace else None
         self.forward: dict[int, int] = {}  # traced only: decomposed cid -> last child
         self.fresh = n
 
@@ -399,27 +401,32 @@ class _Phase:
         self.lhs.append(lhs)
         self.rhs.append(rhs)
         self.keys.append(key)
-        self.rules.append(0)
-        if self.made is not None:
-            self.made.append(None)
-        self._queue(cid, lhs, rhs)
+        self.made.append(None)
+        if self.bound:
+            self.rules.append(0)
+            self._queue(cid, lhs, rhs)
+        else:  # nothing to read through yet
+            rule = self.family.rule(lhs, rhs)
+            self.rules.append(rule)
+            heappush(self.heap, (rule, key, cid))
         return cid
 
     def constraint(self, cid: int, memo: Optional[dict] = None):
         """Constraint `cid` as an object, with the sides it stands for.  A
-        binder's left side is its own variable, which the store binds.
+        binder's left side is its own variable, which the store binds.  An
+        object made before is reused while it still holds: with a trace,
+        until a binding reaches it; without one, until the first binding.
         """
         made = self.made
-        if made is not None and made[cid] is not None:
+        if made[cid] is not None and (self.index is not None or not self.bound):
             return made[cid]
-        if memo is None:
-            memo = {}
-        lhs = self.lhs[cid]
-        if self.rules[cid] != _BOUND:
-            lhs = self._resolve(lhs, memo)
-        c = self.family.constraint(lhs, self._resolve(self.rhs[cid], memo))
-        if made is not None:
-            made[cid] = c
+        lhs, rhs = self.lhs[cid], self.rhs[cid]
+        if self.bound:
+            memo = {} if memo is None else memo
+            if self.rules[cid] != _BOUND:
+                lhs = self._resolve(lhs, memo)
+            rhs = self._resolve(rhs, memo)
+        c = made[cid] = self.family.constraint(lhs, rhs)
         return c
 
     def _census(self) -> None:
@@ -428,11 +435,10 @@ class _Phase:
         store is still empty, and each constraint is walked once.
         """
         live = [cid for cid, rule in enumerate(self.rules) if rule]
-        if self.made is None:
+        if self.index is None:
             self.counts = self._counts_under([s for c in live for s in (self.lhs[c], self.rhs[c])])
             return
         counts = self.counts = {}
-        self.index = {}
         for cid in live:
             for name, n in self._index(cid).items():
                 counts[name] = counts.get(name, 0) + n
@@ -527,11 +533,12 @@ class _Phase:
         object of `cid`, whose sides already stand for what they denote.
         """
         lhs, rhs = self.lhs[cid], self.rhs[cid]
-        made = self.made
         if rule == _ORIENT:
-            if made is not None:
+            if self.index is None:
+                self.made[cid] = None
+            else:
                 old = self.constraint(cid)
-                made[cid] = self.family.constraint(old.rhs, old.lhs)
+                self.made[cid] = self.family.constraint(old.rhs, old.lhs)
             self._queue(cid, rhs, lhs)
         elif rule == _ELIMINATE:
             self._eliminate(cid, lhs.name, rhs)
@@ -543,17 +550,18 @@ class _Phase:
                 return
             key = self.keys[cid]
             pairs = list(zip(lhs.args, rhs.args))
-            children = []
+            first = len(self.rules)  # the children's cids run on from here
             for a, b in pairs[:-1]:
-                children.append(self._add(a, b, key[:-1] + (self.fresh, _LAST)))
+                self._add(a, b, key[:-1] + (self.fresh, _LAST))
                 self.fresh += 1
-            children.append(self._add(*pairs[-1], key))
-            if made is None:
+            self._add(*pairs[-1], key)
+            if self.index is None:
                 return
-            old = self.constraint(cid)
+            old, made = self.constraint(cid), self.made
+            children = range(first, len(self.rules))
             for child, a, b in zip(children, old.lhs.args, old.rhs.args):
                 made[child] = self.family.constraint(a, b)
-            if self.index is not None:
+            if self.counts is not None:  # else the census indexes them
                 for child in children[:-1]:
                     self._index(child)
                 self.forward[cid] = children[-1]
@@ -561,6 +569,8 @@ class _Phase:
     def _eliminate(self, binder: int, name: str, value) -> None:
         """Bind `name` to `value` and read again the rules that can change."""
         inside, self.inside = self.inside, None
+        if not self.bound:  # the first binding
+            self.bound, self.below = {}, {}
         self.bound[name] = value
         self.below[name] = inside
         rules, counts = self.rules, self.counts

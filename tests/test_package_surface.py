@@ -171,7 +171,10 @@ def _generated_walks(classes):
     holders: set = set()
     grown = True
     while grown:
-        new = {c for c, hs in hints.items() if c not in holders and any(holds(h, holders) for h in hs)}
+        new = {
+            cls for cls, hs in hints.items()
+            if cls not in holders and any(holds(h, holders) for h in hs)
+        }
         holders |= new
         grown = bool(new)
 
