@@ -232,9 +232,9 @@ class _Phase:
       shorter onto the longer, and only the constraints between v and s
       have changed: they are now deletes, found in the shorter list.
 
-    Only eliminate needs the counts, so they are taken when it first comes
-    up, and the lists when it first binds; a run that ends before that
-    never counts, lists or binds.  The count of what a binding stands for
+    Only eliminate needs the counts and the lists, so both are taken when
+    it first comes up; a run that ends before that never counts, lists or
+    binds.  The count of what a binding stands for
     is kept with it (_binding_counts), so eliminating v = s walks s as
     written, not the tree it stands for.  With a trace, the object made for
     each constraint is kept until a binding reaches it, through an index
@@ -340,7 +340,7 @@ class _Phase:
         """
         counts = tree_counts(roots)[0]
         bound = self.bound
-        for name in [name for name in counts if name in bound]:
+        for name in [name for name in counts if name in bound] if bound else ():
             times = counts.pop(name)
             for var, n in self._binding_counts(name).items():
                 counts[var] = counts.get(var, 0) + times * n
@@ -430,13 +430,23 @@ class _Phase:
         return c
 
     def _census(self) -> None:
-        """Count the variables of the live constraints.  With a trace, also
-        index each constraint under the variables its count finds.  The
-        store is still empty, and each constraint is walked once.
+        """Count the variables of the live constraints and list their tops.
+        With a trace, also index each constraint under the variables its
+        count finds.  The store is still empty, and each constraint is
+        walked once.
         """
-        live = [cid for cid, rule in enumerate(self.rules) if rule]
+        rules, var = self.rules, self.var
+        tops, live, sides = {}, [], []
+        for cid, rule, lhs, rhs in zip(range(len(rules)), rules, self.lhs, self.rhs):
+            if rule:  # u = t with u a variable, as every live constraint now
+                live.append(cid)
+                sides += (lhs, rhs)
+                tops.setdefault(lhs.name, []).append(cid)
+                if type(rhs) is var:
+                    tops.setdefault(rhs.name, []).append(cid)
+        self.tops = tops
         if self.index is None:
-            self.counts = self._counts_under([s for c in live for s in (self.lhs[c], self.rhs[c])])
+            self.counts = tree_counts(sides)[0]
             return
         counts = self.counts = {}
         for cid in live:
@@ -586,16 +596,8 @@ class _Phase:
             self.index[name] = [binder]
             for var in inside:
                 self.index.setdefault(var, []).extend(holders)
-        tops, deref = self.tops, self._deref
-        if tops is None:  # the first binding: list the tops of what is live
-            tops = self.tops = {}
-            for cid, rule in enumerate(rules):
-                if rule:
-                    for side in (self.lhs[cid], self.rhs[cid]):
-                        if type(side) is self.var:
-                            tops.setdefault(side.name, []).append(cid)
+        tops, deref, var = self.tops, self._deref, self.var
         moved = tops.pop(name, [])
-        var = self.var
         if type(value) is not var:
             for cid in moved:  # those with `name` on the left change rule
                 if rules[cid] and rules[cid] != _BOUND and type(deref(self.lhs[cid])) is not var:
