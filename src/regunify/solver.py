@@ -34,8 +34,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded
 from .syntax import (
@@ -184,9 +183,6 @@ _TERMS = _Family(TermConstraint, Var, _family_rule(Var, _rigid_term_rule), _rebu
 # The last element of every order key (see _Phase); no counter reaches it.
 _LAST = sys.maxsize
 
-# What a phase reads through until its first binding.
-_UNBOUND: Mapping = MappingProxyType({})
-
 
 class _Phase:
     """One family's constraints, rewritten to a fixpoint by its six rules.
@@ -234,9 +230,9 @@ class _Phase:
 
     Only eliminate needs the counts and the lists, so both are taken when
     it first comes up; a run that ends before that never counts, lists or
-    binds.  The count of what a binding stands for
-    is kept with it (_binding_counts), so eliminating v = s walks s as
-    written, not the tree it stands for.  With a trace, the object made for
+    binds.  The count of what a binding stands for is kept with it
+    (_binding_counts), so eliminating v = s walks s as written, not the
+    tree it stands for.  With a trace, the object made for
     each constraint is kept until a binding reaches it, through an index
     from each variable to the constraints that may hold it; without one,
     there is no index, and the objects are kept until the first binding.
@@ -254,11 +250,11 @@ class _Phase:
         self.rules: list = list(map(family.rule, self.lhs, self.rhs))
         self.heap = list(zip(self.rules, self.keys, range(n)))
         heapify(self.heap)
-        self.bound: Mapping = _UNBOUND  # variable -> its binding, as written
+        self.bound: dict = {}  # variable -> its binding, as written
         self.counts: Optional[dict[str, int]] = None  # variable -> occurrences
         self.tops: Optional[dict[str, list]] = None  # variable -> cids, each maybe stale
         self.inside: Optional[dict[str, int]] = None  # counts of the redex's binding
-        self.below: Mapping = _UNBOUND  # bound variable -> counts of its binding
+        self.below: dict[str, dict] = {}  # bound variable -> counts of its binding
         # cid -> its constraint object, None until made; without a trace,
         # kept only until the first binding
         self.made: list = constraints
@@ -499,7 +495,7 @@ class _Phase:
                     lhs = self._deref(lhs)
                 if getattr(rhs, "args", None) or type(rhs) is var and rhs.name in bound:
                     rhs = self._resolve(rhs, memo)
-            assert type(lhs) is self.var, "constraints not in solved form"
+            assert type(lhs) is var, "constraints not in solved form"
             out[lhs.name] = rhs
         return out
 
@@ -579,8 +575,6 @@ class _Phase:
     def _eliminate(self, binder: int, name: str, value) -> None:
         """Bind `name` to `value` and read again the rules that can change."""
         inside, self.inside = self.inside, None
-        if not self.bound:  # the first binding
-            self.bound, self.below = {}, {}
         self.bound[name] = value
         self.below[name] = inside
         rules, counts = self.rules, self.counts
