@@ -151,8 +151,8 @@ def test_hand_picked_states_match_reference():
     # other constraints as they were written
     D = TVar("D")
     states = [
-        # A's class is the larger: A -> B merges A's tops into B's shorter
-        # list, and (B, A) is found there as a delete
+        # the survivor's list is the shorter: A -> B joins B's list onto
+        # A's, and (B, A) is found in B's list as a delete
         _types((A, B), (A, C), (A, INT), (B, A)),
         # (A, B), (B, A): the second is B = B once A is renamed to B
         _types((A, B), (B, A)),
