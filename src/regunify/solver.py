@@ -232,10 +232,10 @@ class _Phase:
     it first comes up; a run that ends before that never counts, lists or
     binds.  The count of what a binding stands for is kept with it
     (_binding_counts), so eliminating v = s walks s as written, not the
-    tree it stands for.  With a trace, the object made for
-    each constraint is kept until a binding reaches it, through an index
-    from each variable to the constraints that may hold it; without one,
-    there is no index, and the objects are kept until the first binding.
+    tree it stands for.  With a trace, the object made for each constraint
+    is kept until a binding reaches it, through an index from each variable
+    to the constraints that may hold it; without one, there is no index,
+    and the objects are kept until the first binding.
     """
 
     def __init__(self, constraints, family: _Family, trace: bool = False):
