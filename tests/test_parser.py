@@ -146,6 +146,10 @@ def test_comments_ignored():
         # each part resolves as soon as it is read, before the next is parsed
         (parse_signatures, "p : bool(int) * ) -> bool.", "<signatures>:1:5: bool takes no arguments"),
         (parse_type, "list(int,)", "<type>:1:10: expected a type, found ')'"),
+        # a misused base name is reported where it stands, however deep
+        (parse_type, "list(int(x))", "<type>:1:6: int takes no arguments"),
+        (parse_typedefs, "t --> a(bool(int)).", "<types>:1:9: bool takes no arguments"),
+        (parse_context, "X : string(a).", "<context>:1:5: string takes no arguments"),
     ],
 )
 def test_separated_list_errors(parse, text, message):
