@@ -246,12 +246,18 @@ def cmd_check(args, defs, overrides):
     return (EXIT_OK if ok else EXIT_FALSE), doc, lines
 
 
+def _max_steps(args) -> int | None:
+    """`--max-steps`, refused when negative; 0 allows no step at all."""
+    if args.max_steps is not None and args.max_steps < 0:
+        raise _UsageError(f"argument --max-steps: must be at least 0, got {args.max_steps}")
+    return args.max_steps
+
+
 def cmd_unify(args, defs, overrides):
+    max_steps = _max_steps(args)
     lhs = parse_term(args.left, source="<left>")
     rhs = parse_term(args.right, source="<right>")
-    run = typed_unify(
-        lhs, rhs, defs, overrides=overrides, trace=args.trace, max_steps=args.max_steps
-    )
+    run = typed_unify(lhs, rhs, defs, overrides=overrides, trace=args.trace, max_steps=max_steps)
     doc = {"steps": run.steps}
     if args.trace:
         doc["initial"] = _state_doc(run.initial)
@@ -314,9 +320,9 @@ _RUN_OUTCOME = {  # outcome type -> (text, exit code)
 
 
 def cmd_run(args, defs, overrides):
+    budget = ResolutionBudget(max_steps=_max_steps(args))
     program = parse_program(_read(args.program), source=args.program)
     query = parse_query(args.query, source="<query>")
-    budget = ResolutionBudget(max_steps=args.max_steps or ResolutionBudget().max_steps)
     report = resolve(program, query, defs, overrides=overrides, budget=budget)
     doc = _run_doc(report, args.trace)
     return _RUN_OUTCOME[type(report.outcome)][1], doc, _human_run(doc)
@@ -491,7 +497,7 @@ def _build_parser() -> _ArgParser:
     sp.add_argument("-q", "--query", required=True, help="comma-separated goals")
     common(sp)
     sp.add_argument("--trace", action="store_true", help="report every branch attempt")
-    sp.add_argument("--max-steps", type=int, default=None)
+    sp.add_argument("--max-steps", type=int, default=ResolutionBudget.max_steps)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("oracle", help="solver vs ground semantics over enumerated pairs")

@@ -31,6 +31,7 @@ from .syntax import (
     Compound,
     Const,
     CtorApp,
+    NIL,
     SourceSpan,
     SymApp,
     TVar,
@@ -174,16 +175,16 @@ class _Parser:
             if name == "_":
                 self.anon_count += 1
                 name = f"_#{self.anon_count}"
-            return Var(name, span=tok.span)
+            return Var(name)
         if tok.kind == "INT":
             self.advance()
-            return Const(int(tok.value), "int", span=tok.span)
+            return Const(int(tok.value), "int")
         if tok.kind == "FLOAT":
             self.advance()
-            return Const(float(tok.value), "float", span=tok.span)
+            return Const(float(tok.value), "float")
         if tok.kind == "STRING":
             self.advance()
-            return Const(_unescape(tok.value[1:-1]), "string", span=tok.span)
+            return Const(_unescape(tok.value[1:-1]), "string")
         if tok.kind in ("ATOM", "QATOM"):
             self.advance()
             name = tok.value if tok.kind == "ATOM" else _unescape(tok.value[1:-1])
@@ -191,8 +192,8 @@ class _Parser:
                 args = self.paren_args(self.term)
                 if name == "." and len(args) == 2:
                     name = "cons"
-                return Compound(name, args, span=tok.span)
-            return Const(name, "atom", span=tok.span)
+                return Compound(name, args)
+            return Const(name, "atom")
         if tok.kind == "LBRACK":
             return self.list_term()
         if tok.kind == "LPAREN":
@@ -212,15 +213,15 @@ class _Parser:
         return tuple(args)
 
     def list_term(self) -> Term:
-        open_tok = self.expect("LBRACK")
+        self.expect("LBRACK")
         if self.at("RBRACK"):
             self.advance()
-            return Const("[]", "atom", span=open_tok.span)
+            return NIL
         items = [self.term()]
         while self.at("COMMA"):
             self.advance()
             items.append(self.term())
-        tail: Term = Const("[]", "atom")
+        tail: Term = NIL
         if self.at("PIPE"):
             self.advance()
             tail = self.term()
@@ -265,30 +266,30 @@ class _Parser:
 
     # -- types --
 
-    def raw_type(self) -> TypeExpr:
+    def raw_type(self):
+        """A type variable, or a `(name, args, span)` triple that
+        `_resolve_type` turns into a node once all type symbols are known."""
         tok = self.peek()
         if tok.kind == "VAR":
             self.advance()
             if tok.value == "_":
                 self.fail("anonymous variables are not allowed in types")
-            return TVar(tok.value, span=tok.span)
+            return TVar(tok.value)
         if tok.kind in ("ATOM", "QATOM"):
             self.advance()
             name = tok.value if tok.kind == "ATOM" else _unescape(tok.value[1:-1])
-            args: tuple[TypeExpr, ...] = ()
-            if self.at("LPAREN"):
-                args = self.paren_args(self.raw_type)
-            # resolved into Base/Bool/SymApp/CtorApp after all heads are known
-            return CtorApp(name, args, span=tok.span)
+            args = self.paren_args(self.raw_type) if self.at("LPAREN") else ()
+            return name, args, tok.span
         if tok.kind == "LBRACK":
             self.advance()
             self.expect("RBRACK")
-            return CtorApp("[]", span=tok.span)
+            return "[]", (), tok.span
         self.fail(
             f"expected a type, found {tok.value!r}" if tok.value else "unexpected end of input"
         )
 
-    def typedef(self) -> TypeDef:
+    def typedef(self) -> tuple:
+        """`symbol(params) --> summands.` as a (symbol, params, raw summands) triple."""
         head = self.expect("ATOM", "type symbol")
         params: tuple[str, ...] = ()
         if self.at("LPAREN"):
@@ -296,29 +297,26 @@ class _Parser:
         self.expect("ARROW2", "'-->'")
         summands = self.sep(self.raw_type, "PLUS")
         self.expect("DOT", "'.' at end of definition")
-        return TypeDef(head.value, params, tuple(summands))
+        return head.value, params, summands
 
 
 _RESERVED_TYPE_NAMES = set(BASE_KINDS) | {"bool"}
 
 
-def _resolve_type(ty: TypeExpr, symbols: dict[str, int]) -> TypeExpr:
-    """Turn raw constructor applications into base/bool/symbol nodes by name."""
-    if isinstance(ty, TVar):
-        return ty
-    assert isinstance(ty, CtorApp)
-    args = tuple(_resolve_type(a, symbols) for a in ty.args)
-    if ty.ctor == "bool":
+def _resolve_type(raw, symbols: dict[str, int]) -> TypeExpr:
+    """Turn a raw type from `_Parser.raw_type` into a node: a name becomes
+    bool, a base type, a symbol application or a constructor application."""
+    if type(raw) is TVar:
+        return raw
+    name, raw_args, span = raw
+    args = tuple(_resolve_type(a, symbols) for a in raw_args)
+    if name in _RESERVED_TYPE_NAMES:
         if args:
-            raise ParseError("bool takes no arguments", ty.span)
-        return Bool(span=ty.span)
-    if ty.ctor in BASE_KINDS:
-        if args:
-            raise ParseError(f"{ty.ctor} takes no arguments", ty.span)
-        return Base(ty.ctor, span=ty.span)
-    if ty.ctor in symbols:
-        return SymApp(ty.ctor, args, span=ty.span)
-    return CtorApp(ty.ctor, args, span=ty.span)
+            raise ParseError(f"{name} takes no arguments", span)
+        return Bool() if name == "bool" else Base(name)
+    if name in symbols:
+        return SymApp(name, args)
+    return CtorApp(name, args)
 
 
 def _symbols(defs: TypeDefSet | None) -> dict[str, int]:
@@ -374,24 +372,18 @@ def parse_typedefs(text: str, source: str = "<types>") -> list[TypeDef]:
     plus the built-in list.  Validation happens separately in typedefs.validate.
     """
     p = _Parser(text, source)
-    raw_defs: list[TypeDef] = []
+    raw_defs = []
     while not p.at("EOF"):
         raw_defs.append(p.typedef())
     symbols = _symbols(None)
-    for d in raw_defs:
-        if d.symbol in _RESERVED_TYPE_NAMES:
-            raise ParseError(f"{d.symbol} is a reserved type name")
-        symbols[d.symbol] = len(d.params)
-    resolved = []
-    for d in raw_defs:
-        resolved.append(
-            TypeDef(
-                d.symbol,
-                d.params,
-                tuple(_resolve_type(s, symbols) for s in d.summands),
-            )
-        )
-    return resolved
+    for symbol, params, _ in raw_defs:
+        if symbol in _RESERVED_TYPE_NAMES:
+            raise ParseError(f"{symbol} is a reserved type name")
+        symbols[symbol] = len(params)
+    return [
+        TypeDef(symbol, params, tuple(_resolve_type(s, symbols) for s in summands))
+        for symbol, params, summands in raw_defs
+    ]
 
 
 def parse_type(text: str, defs: TypeDefSet | None = None, source: str = "<type>") -> TypeExpr:

@@ -5,17 +5,19 @@ applications.  Type expressions mirror the shape of terms: type variables,
 base types, bool, applications of declared type symbols, and applications of
 term constructors used as type terms.  Both families are immutable and
 hashable so they can sit in sets, dict keys, and constraint multisets.
+Nodes hold only their structure and carry no source positions: the parser
+reports a position from its tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Position of a parsed node in its source text."""
+    """Position of a token in its source text."""
 
     source: str
     line: int
@@ -38,7 +40,6 @@ class Var:
     """Term variable, e.g. X."""
 
     name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class Const:
 
     symbol: Union[int, float, str]
     kind: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.kind not in BASE_KINDS:
@@ -60,7 +60,6 @@ class Compound:
 
     functor: str
     args: tuple["Term", ...]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     @property
     def arity(self) -> int:
@@ -112,7 +111,6 @@ class TVar:
     """Type variable."""
 
     name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,6 @@ class Base:
     """Base type: int, float, string, or atom."""
 
     kind: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.kind not in BASE_KINDS:
@@ -131,8 +128,6 @@ class Base:
 class Bool:
     """The type of equations and predicate applications."""
 
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
-
 
 @dataclass(frozen=True)
 class SymApp:
@@ -140,7 +135,6 @@ class SymApp:
 
     symbol: str
     args: tuple["TypeExpr", ...] = ()
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,6 @@ class CtorApp:
 
     ctor: str
     args: tuple["TypeExpr", ...] = ()
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 TypeExpr = Union[TVar, Base, Bool, SymApp, CtorApp]
@@ -300,10 +293,4 @@ def tree_counts(roots) -> tuple[dict[str, int], int]:
             elif isinstance(node, (Var, TVar)):
                 counts[node.name] = counts.get(node.name, 0) + weight
     return counts, size
-
-
-def term_size(node: Union[Term, TypeExpr]) -> int:
-    """Node count of the tree a term or type expression denotes."""
-    return tree_counts((node,))[1]
-
 

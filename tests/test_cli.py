@@ -481,6 +481,26 @@ def test_unify_step_cap_is_internal_error(capsys):
     assert (code, out, err) == (70, "", "internal error: rewriting exceeded 1 steps\n")
 
 
+def test_zero_max_steps_allows_no_step(tmp_path, capsys):
+    p = tmp_path / "facts.pl"
+    p.write_text("q.\n")
+    assert cli(capsys, "run", str(p), "-q", "?- q.") == (0, "yes {}\ntypes: {}\n", "")
+    assert cli(capsys, "run", str(p), "-q", "?- q.", "--max-steps", "0") == (
+        3, "no(?)\nbudget exceeded\n", ""
+    )
+    code, out, err = cli(capsys, "unify", "f(X)", "f(1)", "--max-steps", "0")
+    assert (code, out, err) == (70, "", "internal error: rewriting exceeded 0 steps\n")
+
+
+def test_negative_max_steps_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "facts.pl"
+    p.write_text("q.\n")
+    for cmd in (["unify", "f(X)", "f(1)"], ["run", str(p), "-q", "?- q."]):
+        assert cli(capsys, *cmd, "--max-steps", "-5") == (
+            64, "", "usage error: argument --max-steps: must be at least 0, got -5\n"
+        )
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "regunify", "unify", "cons(X,[])", "cons(1,Y)"],

@@ -54,6 +54,15 @@ def test_all_entries_resolve_and_are_unique():
     assert [n for n in regunify.__all__ if not hasattr(regunify, n)] == []
 
 
+def test_readme_library_example_prints_its_comments(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    comments = [ln.split("# ", 1)[1] for ln in block.splitlines() if ln.startswith("print(")]
+    assert comments == ["{X = 1, Y = []}", "{X : int, Y : list(int)}", "{X : $t1, Y : list($t1)}"]
+    assert capsys.readouterr().out.splitlines() == comments
+
+
 def test_unused_import_is_reported():
     # the check above must see through attribute use, aliases and strings
     tree = ast.parse(
@@ -148,6 +157,21 @@ GENERATED_WALKS = {
 }
 
 _NODES = (Var, Const, Compound, TVar, Base, Bool, SymApp, CtorApp)
+
+
+def test_nodes_hold_only_their_structure():
+    # every node is built on the hot paths, so a field that nothing reads
+    # costs each construction; source positions stay with the parser's tokens
+    assert {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in _NODES} == {
+        "Var": ["name"],
+        "Const": ["symbol", "kind"],
+        "Compound": ["functor", "args"],
+        "TVar": ["name"],
+        "Base": ["kind"],
+        "Bool": [],
+        "SymApp": ["symbol", "args"],
+        "CtorApp": ["ctor", "args"],
+    }
 
 
 def _generated_walks(classes):
