@@ -27,14 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .constraints import (
-    ConstraintState,
-    FreshSupply,
-    TermConstraint,
-    TypeConstraint,
-    gen_term,
-    generic_context,
-)
+from .constraints import FreshSupply, TermConstraint, gen_term, generic_context
 from .errors import BudgetExceeded, RegunifyError, TypeValidationError
 from .parser import (
     parse_context,
@@ -60,8 +53,10 @@ from .solver import (
     Solved,
     SolveFalse,
     SolveWrong,
+    equation_columns,
     principal_typing,
-    solve,
+    solve_columns,
+    type_columns,
     typed_unify,
 )
 from .syntax import apply_type_subst
@@ -385,17 +380,23 @@ def cmd_oracle(args, defs, overrides):
     n_terms, kept = sample_ground_terms(sig, args.depth, pool, max_pairs=args.limit, seed=args.seed)
     # each kept term is typed once per side, from one supply, so the two
     # sides of a pair never share a variable: every pair's state is the
-    # one `gen_equation` builds, up to the names of its type variables
+    # one `gen_equation` builds, up to the names of its type variables.
+    # Its constraints are split into columns and classified then too, so a
+    # pair only joins two blocks; each pair is still solved in full.
     fresh = FreshSupply()
+
+    def typed(t):
+        ty, _, cs = gen_term({}, sig, t, fresh)
+        return ty, type_columns(cs)
+
     values = [eval_term(t) for t in kept]
-    lefts = [gen_term({}, sig, t, fresh) for t in kept]
-    rights = [gen_term({}, sig, t, fresh) for t in kept]
+    lefts = [typed(t) for t in kept]
+    rights = [typed(t) for t in kept]
     verdict_of = {Solved: "true", SolveFalse: "false", SolveWrong: "wrong"}
     mismatches = []
-    for t1, v1, (ty1, _, cs1) in zip(kept, values, lefts):
-        for t2, v2, (ty2, _, cs2) in zip(kept, values, rights):
-            types = (*cs1, *cs2, TypeConstraint(ty1, ty2))
-            got = verdict_of[type(solve(ConstraintState((TermConstraint(t1, t2),), types)).result)]
+    for t1, v1, left in zip(kept, values, lefts):
+        for t2, v2, right in zip(kept, values, rights):
+            got = verdict_of[type(solve_columns(*equation_columns(t1, left, t2, right)).result)]
             want = eq_values(v1, v2)
             if got != want:
                 mismatches.append(
@@ -504,7 +505,13 @@ def _build_parser() -> _ArgParser:
     common(sp, sig=False)
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--limit", type=int, default=10_000, help="pair budget")
+    sp.add_argument(
+        "--limit",
+        type=int,
+        default=10_000,
+        help="keep every term of depth <= 1, then strided deeper ones up to isqrt(LIMIT)"
+        " terms in all (at least one); every ordered pair of kept terms is checked",
+    )
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("repl", help="interactive unify/run loop over stdin")

@@ -183,6 +183,11 @@ _TERMS = _Family(TermConstraint, Var, _family_rule(Var, _rigid_term_rule), _rebu
 # The last element of every order key (see _Phase); no counter reaches it.
 _LAST = sys.maxsize
 
+# The initial order keys, (i, _LAST) for cid i.  A phase slices its own from
+# this one shared table instead of building a tuple per constraint, and
+# builds only those past its end; the table itself is never changed.
+_KEYS = [(i, _LAST) for i in range(256)]
+
 
 class _Phase:
     """One family's constraints, rewritten to a fixpoint by its six rules.
@@ -196,6 +201,14 @@ class _Phase:
     costs the constraints whose rule it can change, not every constraint
     that holds v.  A constraint object is built through the store only when
     a trace, a witness or the caller asks for it.
+
+    A phase starts from columns, one entry per constraint in order: the left
+    sides, the right sides, the local rules (None: read off here) and the
+    objects (None where none is made yet).  It takes them over as its own
+    per-cid lists, so a caller that solves many states made of the same
+    blocks splits and classifies each block once and only joins the lists
+    (see solve_columns).  The initial order keys are sliced from one shared
+    table (_KEYS), not built per constraint.
 
     A rule is read off the sides' top nodes after following the store
     (_deref; see _family_rule), with no head keys built and no structural
@@ -238,26 +251,27 @@ class _Phase:
     and the objects are kept until the first binding.
     """
 
-    def __init__(self, constraints, family: _Family, trace: bool = False):
+    def __init__(self, columns: tuple, family: _Family, trace: bool = False):
         self.family = family
         self.var = family.var
-        constraints = list(constraints)
-        self.lhs: list = [c.lhs for c in constraints]  # cid -> left side, as written
-        self.rhs: list = [c.rhs for c in constraints]  # cid -> right side, as written
-        n = len(constraints)
-        self.keys: list = [(i, _LAST) for i in range(n)]  # cid -> order key
-        # cid -> local rule its constraint matches; 0 once decomposed or deleted
-        self.rules: list = list(map(family.rule, self.lhs, self.rhs))
-        self.heap = list(zip(self.rules, self.keys, range(n)))
+        # The columns, by cid: each side as written; the local rule the
+        # constraint matches, 0 once decomposed or deleted; its object, None
+        # until made and, without a trace, kept only until the first binding.
+        self.lhs, self.rhs, rules, self.made = columns
+        n = len(self.lhs)
+        keys = self.keys = _KEYS[:n]  # cid -> order key
+        if n > len(_KEYS):
+            keys.extend([(i, _LAST) for i in range(len(_KEYS), n)])
+        if rules is None:
+            rules = list(map(family.rule, self.lhs, self.rhs))
+        self.rules: list = rules
+        self.heap = list(zip(rules, keys, range(n)))
         heapify(self.heap)
         self.bound: dict = {}  # variable -> its binding, as written
         self.counts: Optional[dict[str, int]] = None  # variable -> occurrences
         self.tops: Optional[dict[str, list]] = None  # variable -> cids, each maybe stale
         self.inside: Optional[dict[str, int]] = None  # counts of the redex's binding
         self.below: dict[str, dict] = {}  # bound variable -> counts of its binding
-        # cid -> its constraint object, None until made; without a trace,
-        # kept only until the first binding
-        self.made: list = constraints
         # traced only: variable -> cids, each live or forwarding
         self.index: Optional[dict[str, list]] = {} if trace else None
         self.forward: dict[int, int] = {}  # traced only: decomposed cid -> last child
@@ -619,6 +633,57 @@ def solve(
     unifier; otherwise both unifiers.  `max_steps` defaults to
     size(state)**2 * 64, which no input should ever reach.
 
+    This is the front of the solver: it splits each constraint set into the
+    columns a phase starts from (sides, rules and objects; see _Phase) and
+    runs the one rewrite loop on them, `solve_columns`.  The rules of a set
+    are read off when its phase starts, and its initial order keys are
+    sliced from one shared table.
+    """
+    types, terms = list(state.types), list(state.terms)
+    return solve_columns(
+        ([c.lhs for c in types], [c.rhs for c in types], None, types),
+        ([c.lhs for c in terms], [c.rhs for c in terms], None, terms),
+        trace,
+        max_steps,
+    )
+
+
+def type_columns(constraints) -> tuple[list, list, list, list]:
+    """The columns of a block of type constraints, rules read off.  A block
+    is never rewritten, so one serves any number of `equation_columns`.
+    """
+    made = list(constraints)
+    lhs, rhs = [c.lhs for c in made], [c.rhs for c in made]
+    return lhs, rhs, list(map(_TYPES.rule, lhs, rhs)), made
+
+
+def equation_columns(lhs: Term, left: tuple, rhs: Term, right: tuple) -> tuple[tuple, tuple]:
+    """The type and term columns of `gen_equation`'s state for lhs = rhs,
+    for `solve_columns`, from each side's type and block (type_columns):
+    the left block, the right block, then the equality of the two types;
+    and lhs = rhs.  Neither equation's object is made unless a witness or a
+    trace needs it.
+    """
+    left_type, (lhs_1, rhs_1, rules_1, made_1) = left
+    right_type, (lhs_2, rhs_2, rules_2, made_2) = right
+    types = (
+        [*lhs_1, *lhs_2, left_type],
+        [*rhs_1, *rhs_2, right_type],
+        [*rules_1, *rules_2, _TYPES.rule(left_type, right_type)],
+        [*made_1, *made_2, None],
+    )
+    return types, ([lhs], [rhs], None, [None])
+
+
+def solve_columns(
+    types: tuple, terms: tuple, trace: bool = False, max_steps: int | None = None
+) -> SolveRun:
+    """`solve` of the state whose type and term constraints these columns
+    hold: each is (left sides, right sides, local rules, objects), one entry
+    per constraint in order.  Rules may be None, to be read off when the
+    phase starts, and an object None, to be made only if needed.  The lists
+    become the solver's, which rewrites them in place.
+
     Each step costs what it touches, not the size of the whole state, and
     eliminate binds instead of substituting; see _Phase.  The term phase is
     set up only once the type rules reach their fixpoint, so a wrong result
@@ -628,11 +693,19 @@ def solve(
     """
     # The default budget needs the size of the whole state.  Every constraint
     # has at least two nodes, so until the steps pass the bound that gives,
-    # which no input is known to reach, the state need not be walked.
+    # which no input is known to reach, the state need not be walked; its
+    # sides are kept as given, since the phases rewrite the columns.
+    sides = (*types[0], *types[1], *terms[0], *terms[1])
     exact = max_steps is not None
     if not exact:
-        max_steps = max(1, 2 * (len(state.terms) + len(state.types))) ** 2 * BUDGET_FACTOR
-    types = phase = _Phase(state.types, _TYPES, trace)
+        max_steps = max(1, 2 * (len(terms[0]) + len(types[0]))) ** 2 * BUDGET_FACTOR
+    term_columns = terms
+    if trace:  # until the term phase, every state shows its constraints as given
+        made = terms[3]
+        for cid, (lhs, rhs, c) in enumerate(zip(terms[0], terms[1], made)):
+            made[cid] = c or TermConstraint(lhs, rhs)
+        given = tuple(made)
+    types = phase = _Phase(types, _TYPES, trace)
     terms = None  # set up once the type rules reach their fixpoint
     steps = 0
     trace_steps: list[TraceStep] = []
@@ -641,11 +714,11 @@ def solve(
         if redex is None:
             if terms is not None:
                 break
-            terms = phase = _Phase(state.terms, _TERMS, trace)
+            terms = phase = _Phase(term_columns, _TERMS, trace)
             continue
         steps += 1
         if steps > max_steps and not exact:
-            max_steps, exact = max(1, state.size()) ** 2 * BUDGET_FACTOR, True
+            max_steps, exact = max(1, tree_counts(sides)[1]) ** 2 * BUDGET_FACTOR, True
         if steps > max_steps:
             raise BudgetExceeded(f"rewriting exceeded {max_steps} steps")
         rule, cid = redex
@@ -660,7 +733,7 @@ def solve(
             target = phase.constraint(cid)
         phase.fire(rule, cid)
         if trace:
-            term_cs = tuple(state.terms) if terms is None else terms.ordered()
+            term_cs = given if terms is None else terms.ordered()
             trace_steps.append(
                 TraceStep(
                     rule + phase.family.offset,

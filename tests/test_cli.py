@@ -276,18 +276,30 @@ def test_oracle_states_match_per_pair_generation(capsys, monkeypatch):
     """
     from regunify import cli as cli_mod
     from regunify import derive_signatures, validate
-    from regunify.constraints import FreshSupply, gen_equation
+    from regunify.constraints import (
+        ConstraintState,
+        FreshSupply,
+        TermConstraint,
+        TypeConstraint,
+        gen_equation,
+    )
     from regunify.semantics import LiteralPool, enumerate_ground_terms, stratified_pairs
-    from regunify.solver import solve
+    from regunify.solver import solve, solve_columns
 
     runs = []
 
-    def recording_solve(state):
-        run = solve(state, trace=True)
+    def objects(columns, make):
+        lhs, rhs, _, made = columns
+        return tuple(c or make(a, b) for a, b, c in zip(lhs, rhs, made))
+
+    def recording_solve_columns(types, terms):
+        # the state the columns hold, read before the solver rewrites them
+        state = ConstraintState(objects(terms, TermConstraint), objects(types, TypeConstraint))
+        run = solve_columns(types, terms, trace=True)
         runs.append((state, run))
         return run
 
-    monkeypatch.setattr(cli_mod, "solve", recording_solve)
+    monkeypatch.setattr(cli_mod, "solve_columns", recording_solve_columns)
     code, out, _ = cli(capsys, "oracle", "--depth", "2", "--limit", "4225", "--seed", "5")
     assert (code, out.splitlines()[1]) == (0, "pairs: 4225")
 
