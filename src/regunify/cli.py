@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .constraints import FreshSupply, TermConstraint, gen_term, generic_context
+from .constraints import FreshSupply, TermConstraint, gen_columns, gen_term, generic_context
 from .errors import BudgetExceeded, RegunifyError, TypeValidationError
 from .parser import (
     parse_context,
@@ -386,8 +386,10 @@ def cmd_oracle(args, defs, overrides):
     fresh = FreshSupply()
 
     def typed(t):
-        ty, _, cs = gen_term({}, sig, t, fresh)
-        return ty, type_columns(cs)
+        lhs: list = []
+        rhs: list = []
+        ty = gen_columns({}, sig, t, fresh, lhs, rhs)
+        return ty, type_columns(lhs, rhs)
 
     values = [eval_term(t) for t in kept]
     lefts = [typed(t) for t in kept]

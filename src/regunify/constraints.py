@@ -14,6 +14,14 @@ An equation t1 = t2 contributes the term constraint t1 = t2 plus both sides'
 constraints and the type constraint equating the two result types; its own
 type is bool.  Constraint order is the generation order above, which the
 solver and its traces rely on.
+
+The one generator, `gen_columns`, builds no constraint object: it appends
+each type constraint's left side to one list and its right side to another,
+the columns a solver phase starts from (`solver.solve_columns`), entry i of
+both lists being constraint i in generation order.  `gen_equation_columns`
+gives an equation's type columns: t1's constraints, t2's, then the equality
+of their types.  `gen_term` and `gen_equation` build the objects from those
+columns for callers that want a `ConstraintState`.
 """
 
 from __future__ import annotations
@@ -79,7 +87,8 @@ class FreshSupply:
         self._count += 1
         return Var(f"${hint}{self._count}")
 
-    def tvar_for(self, var_name: str) -> TVar:
+    @staticmethod
+    def tvar_for(var_name: str) -> TVar:
         """The canonical type variable for a term variable.  Distinct term
         variables map to distinct names without consuming the counter.
         """
@@ -101,26 +110,78 @@ def generic_context(terms, fresh: FreshSupply) -> Context:
     return ctx
 
 
-def _gen(ctx: Context, sig: SignatureEnv, term: Term, fresh: FreshSupply, out) -> TypeExpr:
-    """The type of a term under a context; its type constraints are appended
-    to `out` in generation order.
+class GenericContext(dict):
+    """A context that gives a variable its generic type, `$X` for X, when it
+    is first read: a walk that reads every variable of some terms in order
+    fills it exactly as `generic_context` of those terms would.
     """
-    kind = type(term)
-    if kind is Var:
-        try:
-            return ctx[term.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {term.name} is not in the context") from None
-    if kind is Const:
-        return instantiate(sig.lookup_constant(term), fresh)
-    args = term.args
-    ft = instantiate(sig.lookup_function(term.functor, len(args)), fresh)
-    assert isinstance(ft, FuncType) and len(ft.domain) == len(args)
-    arg_tys = []
-    for arg in args:  # a loop, not a comprehension: one frame per level
-        arg_tys.append(_gen(ctx, sig, arg, fresh, out))
-    out.extend(map(TypeConstraint, arg_tys, ft.domain))
-    return ft.codomain
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> TVar:
+        ty = self[name] = FreshSupply.tvar_for(name)
+        return ty
+
+
+def gen_columns(
+    ctx: Context, sig: SignatureEnv, term: Term, fresh: FreshSupply, lhs: list, rhs: list
+) -> TypeExpr:
+    """The type of a term under a context.  Each of its type constraints is
+    appended as its two sides, the left to `lhs` and the right to `rhs`, in
+    generation order (see the module docstring).  A variable the context
+    lacks raises UnboundVariable.
+
+    The walk keeps its own stack, so a term of any depth costs no Python
+    stack.  A compound node, when reached, draws its scheme's instance and
+    is replaced on the stack by it, which marks where the node closes, with
+    its arguments above, the first on top.  Closing pops the arguments'
+    types and appends one constraint per argument.  So fresh names are
+    drawn, and the context read, in the recursive walk's order.
+    """
+    todo: list = [term]
+    types: list = []  # the types of the arguments typed so far
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            try:
+                types.append(ctx[node.name])
+            except KeyError:
+                raise UnboundVariable(f"variable {node.name} is not in the context") from None
+        elif kind is Const:
+            types.append(instantiate(sig.lookup_constant(node), fresh))
+        elif kind is FuncType:  # every argument of the node it closes is typed
+            n = len(node.domain)
+            lhs += types[-n:]
+            rhs += node.domain
+            del types[-n:]
+            types.append(node.codomain)
+        else:
+            args = node.args
+            ft = sig.function_instance(node.functor, len(args), fresh)
+            assert len(ft.domain) == len(args)
+            if args:
+                todo.append(ft)
+                todo += reversed(args)
+            else:
+                types.append(ft.codomain)
+    return types[0]
+
+
+def gen_equation_columns(
+    ctx: Context, sig: SignatureEnv, lhs: Term, rhs: Term, fresh: FreshSupply
+) -> tuple[list, list]:
+    """The left and right sides of the type constraints of lhs = rhs, in
+    `gen_equation`'s order: the left term's, the right term's, then the
+    equality of the two types.
+    """
+    left: list = []
+    right: list = []
+    lhs_ty = gen_columns(ctx, sig, lhs, fresh, left, right)
+    rhs_ty = gen_columns(ctx, sig, rhs, fresh, left, right)
+    left.append(lhs_ty)
+    right.append(rhs_ty)
+    return left, right
 
 
 def gen_term(
@@ -129,8 +190,10 @@ def gen_term(
     """Type, term constraints, and type constraints of a term under a context.
     The term-constraint component of a plain term walk is always empty.
     """
-    type_cs: list[TypeConstraint] = []
-    return _gen(ctx, sig, term, fresh, type_cs), [], type_cs
+    left: list = []
+    right: list = []
+    ty = gen_columns(ctx, sig, term, fresh, left, right)
+    return ty, [], list(map(TypeConstraint, left, right))
 
 
 def gen_equation(
@@ -139,21 +202,5 @@ def gen_equation(
     """Constraints of the equation lhs = rhs: both sides' constraints, the
     term constraint itself, and the equality of the two types.
     """
-    type_cs: list[TypeConstraint] = []
-    lhs_ty = _gen(ctx, sig, lhs, fresh, type_cs)
-    rhs_ty = _gen(ctx, sig, rhs, fresh, type_cs)
-    type_cs.append(TypeConstraint(lhs_ty, rhs_ty))
-    return ConstraintState(terms=(TermConstraint(lhs, rhs),), types=tuple(type_cs))
-
-
-def gen_pair(
-    ctx: Context, sig: SignatureEnv, lhs: Term, rhs: Term, fresh: FreshSupply, out
-) -> TypeConstraint:
-    """The type constraints `gen_equation` makes for lhs = rhs, in its order,
-    appended to `out`; the last, the equality of the two types, is returned.
-    `gen_equation` does not call this: the extra frame would cost it a level
-    of term depth.
-    """
-    eq = TypeConstraint(_gen(ctx, sig, lhs, fresh, out), _gen(ctx, sig, rhs, fresh, out))
-    out.append(eq)
-    return eq
+    left, right = gen_equation_columns(ctx, sig, lhs, rhs, fresh)
+    return ConstraintState((TermConstraint(lhs, rhs),), tuple(map(TypeConstraint, left, right)))

@@ -35,16 +35,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .constraints import (
-    ConstraintState,
     Context,
     FreshSupply,
-    TermConstraint,
-    TypeConstraint,
-    gen_equation,
-    gen_pair,
+    gen_columns,
+    gen_equation_columns,
     generic_context,
 )
-from .solver import Solved, SolveFalse, SolveWrong, solve
+from .solver import Solved, SolveFalse, SolveWrong, columns, solve_columns
 from .syntax import (
     Compound,
     Const,
@@ -165,25 +162,32 @@ class _Search:
         self.report = ResolveReport(outcome=NoUnknown())
         self.budget_exceeded = False
 
-    def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> ConstraintState:
-        """Argument-wise typed unification of a goal with a clause head: one
-        equation per argument pair, then the pairs' types against the
-        predicate's domain, the goal's first.  Both atoms instantiate the
-        predicate's scheme independently, so the declared signature
-        constrains the goal's arguments and the head's.
+    def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> tuple[tuple, tuple]:
+        """Argument-wise typed unification of a goal with a clause head, as
+        the type and term columns of `solve_columns`.  The terms hold one
+        equation per argument pair.  The types hold each pair's constraints
+        and the equality of its two types, as `gen_equation` orders them,
+        then the pairs' types against the predicate's domain, the goal's
+        first.  Both atoms instantiate the predicate's scheme independently,
+        so the declared signature constrains the goal's arguments and the
+        head's.
         """
         scheme = self.sig.lookup_predicate(goal.functor, goal.arity)  # the head's too
         goal_ft, head_ft = instantiate(scheme, self.fresh), instantiate(scheme, self.fresh)
         assert isinstance(goal_ft, FuncType) and isinstance(head_ft, FuncType)
-        term_cs: list[TermConstraint] = []
-        type_cs: list[TypeConstraint] = []
-        pairs: list[TypeConstraint] = []  # each pair's goal type = head type
+        lhs: list = []
+        rhs: list = []
+        goal_tys, head_tys = [], []  # each pair's goal type = head type
         for g_arg, h_arg in zip(goal.args, head.args):
-            term_cs.append(TermConstraint(g_arg, h_arg))
-            pairs.append(gen_pair(ctx, self.sig, g_arg, h_arg, self.fresh, type_cs))
-        type_cs += [TypeConstraint(p.lhs, d) for p, d in zip(pairs, goal_ft.domain)]
-        type_cs += [TypeConstraint(p.rhs, d) for p, d in zip(pairs, head_ft.domain)]
-        return ConstraintState(tuple(term_cs), tuple(type_cs))
+            goal_tys.append(gen_columns(ctx, self.sig, g_arg, self.fresh, lhs, rhs))
+            head_tys.append(gen_columns(ctx, self.sig, h_arg, self.fresh, lhs, rhs))
+            lhs.append(goal_tys[-1])
+            rhs.append(head_tys[-1])
+        lhs += goal_tys
+        rhs += goal_ft.domain
+        lhs += head_tys
+        rhs += head_ft.domain
+        return columns(lhs, rhs), columns(list(goal.args), list(head.args))
 
     def run(self, goals, answer: Subst) -> Optional[tuple[Subst, Context]]:
         """The first answer and its variable types, or None once no choice is left."""
@@ -228,7 +232,9 @@ class _Search:
             self.report.steps += 1
             if clause is None:
                 against, body, via, ctx = None, (), "equality", goal_ctx
-                result = solve(gen_equation(ctx, self.sig, *goal.args, self.fresh)).result
+                left, right = goal.args
+                types = columns(*gen_equation_columns(ctx, self.sig, left, right, self.fresh))
+                result = solve_columns(types, columns([left], [right])).result
             else:
                 renamed = rename_clause(clause, self.fresh)
                 against, body, via = renamed.head, renamed.body, "clause"
@@ -236,7 +242,7 @@ class _Search:
                     ctx, result = goal_ctx, Solved({}, {})
                 else:
                     ctx = goal_ctx | generic_context((renamed.head,), self.fresh)
-                    result = solve(self.unify_args(ctx, goal, renamed.head)).result
+                    result = solve_columns(*self.unify_args(ctx, goal, renamed.head)).result
             verdict = _VERDICT[type(result)]
             notes.append(BranchNote(depth, goal, against, verdict, final, via))
             if verdict == "solved":

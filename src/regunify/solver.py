@@ -32,7 +32,8 @@ stated give.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -55,11 +56,11 @@ from .constraints import (
     ConstraintState,
     Context,
     FreshSupply,
+    GenericContext,
     TermConstraint,
     TypeConstraint,
-    gen_equation,
-    gen_term,
-    generic_context,
+    gen_columns,
+    gen_equation_columns,
 )
 from .typedefs import SignatureEnv, TypeDefSet, derive_signatures
 
@@ -346,9 +347,17 @@ class _Phase:
         under the store, counted as syntax.tree_counts counts them: a subterm
         shared by several parents counts once per path that reaches it.  The
         walk stops at bound variables, each of which counts as the tree its
-        binding stands for (_binding_counts).
+        binding stands for (_binding_counts).  Roots that are all leaves are
+        read directly.
         """
-        counts = tree_counts(roots)[0]
+        counts: dict[str, int] = {}
+        var = self.var
+        for node in roots:
+            if getattr(node, "args", None):
+                counts = tree_counts(roots)[0]
+                break
+            if type(node) is var:
+                counts[node.name] = counts.get(node.name, 0) + 1
         bound = self.bound
         for name in [name for name in counts if name in bound] if bound else ():
             times = counts.pop(name)
@@ -535,7 +544,7 @@ class _Phase:
                     if type(rhs) is var:
                         inside = {rhs.name: 1}
                     elif getattr(rhs, "args", None):
-                        inside = self._counts_under((rhs,))
+                        inside = self._counts_under(rhs.args)
                     else:
                         inside = {}
                     if lhs.name not in inside:
@@ -633,11 +642,14 @@ def solve(
     unifier; otherwise both unifiers.  `max_steps` defaults to
     size(state)**2 * 64, which no input should ever reach.
 
-    This is the front of the solver: it splits each constraint set into the
-    columns a phase starts from (sides, rules and objects; see _Phase) and
-    runs the one rewrite loop on them, `solve_columns`.  The rules of a set
-    are read off when its phase starts, and its initial order keys are
-    sliced from one shared table.
+    This is the front of the solver for callers that hold a state: it
+    splits each constraint set into the columns a phase starts from (left
+    sides, right sides, rules and objects, entry i of each being constraint
+    i in the set's order; see _Phase) and runs the one rewrite loop on
+    them, `solve_columns`.  The package's own callers generate their
+    columns directly (`constraints.gen_columns`) and call `solve_columns`.
+    The rules of a set are read off when its phase starts, and its initial
+    order keys are sliced from one shared table.
     """
     types, terms = list(state.types), list(state.terms)
     return solve_columns(
@@ -648,13 +660,20 @@ def solve(
     )
 
 
-def type_columns(constraints) -> tuple[list, list, list, list]:
-    """The columns of a block of type constraints, rules read off.  A block
-    is never rewritten, so one serves any number of `equation_columns`.
+def columns(lhs: list, rhs: list) -> tuple[list, list, None, list]:
+    """The columns of the constraints lhs[i] = rhs[i] (see `gen_columns`),
+    for `solve_columns`: rules read off when the phase starts, and no
+    object made.
     """
-    made = list(constraints)
-    lhs, rhs = [c.lhs for c in made], [c.rhs for c in made]
-    return lhs, rhs, list(map(_TYPES.rule, lhs, rhs)), made
+    return lhs, rhs, None, [None] * len(lhs)
+
+
+def type_columns(lhs: list, rhs: list) -> tuple[list, list, list, list]:
+    """The columns of a block of type constraints lhs[i] = rhs[i] (see
+    `gen_columns`), rules read off and no object made.  A block is never
+    rewritten, so one serves any number of `equation_columns`.
+    """
+    return lhs, rhs, list(map(_TYPES.rule, lhs, rhs)), [None] * len(lhs)
 
 
 def equation_columns(lhs: Term, left: tuple, rhs: Term, right: tuple) -> tuple[tuple, tuple]:
@@ -679,10 +698,14 @@ def solve_columns(
     types: tuple, terms: tuple, trace: bool = False, max_steps: int | None = None
 ) -> SolveRun:
     """`solve` of the state whose type and term constraints these columns
-    hold: each is (left sides, right sides, local rules, objects), one entry
-    per constraint in order.  Rules may be None, to be read off when the
-    phase starts, and an object None, to be made only if needed.  The lists
-    become the solver's, which rewrites them in place.
+    hold: each is (left sides, right sides, local rules, objects), entry i
+    of each list being constraint i of the set, in the order the rules'
+    leftmost choice reads (for generated constraints, generation order;
+    see `constraints.gen_columns`).  Rules may be None, to be read off when
+    the phase starts, and an object None, to be made only if a witness or a
+    trace needs it (`columns` gives such a set).  The lists become the
+    solver's, which rewrites them in place, so a caller that needs the
+    constraints as given copies them first.
 
     Each step costs what it touches, not the size of the whole state, and
     eliminate binds instead of substituting; see _Phase.  The term phase is
@@ -750,15 +773,23 @@ def solve_columns(
 
 @dataclass(frozen=True)
 class UnifyRun:
-    """A typed-unification session: the generated constraints, the solver
-    outcome, and the per-variable types under the solution.
+    """A typed-unification session: the solver outcome, the generic context,
+    and the per-variable types under the solution.  `initial`, the generated
+    constraints, is built when first read.
     """
 
     result: SolveResult
     context: Context
-    initial: ConstraintState
     steps: int
     trace: tuple[TraceStep, ...]
+    # lhs, rhs, and the two sides of each type constraint as generated
+    generated: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def initial(self) -> ConstraintState:
+        """The constraints `gen_equation` makes for the unified equation."""
+        lhs, rhs, left, right = self.generated
+        return ConstraintState((TermConstraint(lhs, rhs),), tuple(map(TypeConstraint, left, right)))
 
     @property
     def var_types(self) -> Optional[dict[str, TypeExpr]]:
@@ -789,14 +820,16 @@ def typed_unify(
     max_steps: int | None = None,
 ) -> UnifyRun:
     """Unify two terms under the generic context that types each variable
-    with its own type variable.
+    with its own type variable.  The context is filled as the walk reads
+    each variable, which gives `generic_context`'s order and names.
     """
     sig = derive_signatures(defs, overrides)
     fresh = FreshSupply()
-    ctx = generic_context([lhs, rhs], fresh)
-    state = gen_equation(ctx, sig, lhs, rhs, fresh)
-    run = solve(state, trace=trace, max_steps=max_steps)
-    return UnifyRun(run.result, ctx, state, run.steps, run.trace)
+    ctx = GenericContext()
+    left, right = gen_equation_columns(ctx, sig, lhs, rhs, fresh)
+    generated = (lhs, rhs, left[:], right[:])  # the solver rewrites the lists
+    run = solve_columns(columns(left, right), columns([lhs], [rhs]), trace, max_steps)
+    return UnifyRun(run.result, dict(ctx), run.steps, run.trace, generated)
 
 
 @dataclass(frozen=True)
@@ -815,10 +848,11 @@ def principal_typing(
     """Most general typing of a term, or wrong when it has none."""
     sig = derive_signatures(defs, overrides)
     fresh = FreshSupply()
-    ctx = generic_context([term], fresh)
-    ty, term_cs, type_cs = gen_term(ctx, sig, term, fresh)
-    assert not term_cs
-    run = solve(ConstraintState(terms=(), types=tuple(type_cs)))
+    ctx = GenericContext()
+    left: list = []
+    right: list = []
+    ty = gen_columns(ctx, sig, term, fresh, left, right)
+    run = solve_columns(columns(left, right), columns([], []))
     if isinstance(run.result, SolveWrong):
         return run.result
     assert isinstance(run.result, Solved)

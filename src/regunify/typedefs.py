@@ -98,11 +98,14 @@ class TypeDefSet:
     """A validated, deterministic collection of type definitions.
 
     Build one through validate(); direct construction skips validation and is
-    reserved for internal use.  Instances are immutable after construction.
+    reserved for internal use.  Instances are immutable after construction,
+    so the signatures derived from one alone are derived once and kept on it
+    (see derive_signatures).
     """
 
     def __init__(self, defs: dict[str, TypeDef]):
         self._defs = dict(defs)
+        self._signatures: SignatureEnv | None = None
 
     def lookup(self, symbol: str) -> TypeDef | None:
         return self._defs.get(symbol)
@@ -249,6 +252,7 @@ class SignatureEnv:
     _functors: frozenset = field(init=False, repr=False, compare=False)  # names in `functions`
     _function_defaults: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _predicate_defaults: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("constants", "functions", "predicates"):
@@ -281,6 +285,23 @@ class SignatureEnv:
             self._function_defaults[key] = scheme
         return scheme
 
+    def function_instance(self, functor: str, arity: int, fresh) -> FuncType:
+        """`instantiate(self.lookup_function(functor, arity), fresh)`, built
+        from the scheme's instance plan (_plan), which the first successful
+        lookup of the key makes and keeps.
+        """
+        key = (functor, arity)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _plan(self.lookup_function(functor, arity))
+        if type(plan) is TypeScheme:
+            return instantiate(plan, fresh)
+        generics, kind, symbol, domain, grounds = plan
+        variables = tuple([fresh.tvar() for _ in generics])
+        codomain = kind(symbol, variables)
+        slots = variables + (codomain,) + grounds
+        return FuncType(tuple(map(slots.__getitem__, domain)), codomain)
+
     def lookup_predicate(self, name: str, arity: int) -> TypeScheme:
         scheme = self.predicates.get((name, arity))
         if scheme is not None:
@@ -310,7 +331,19 @@ def derive_signatures(defs: TypeDefSet, overrides: SignatureEnv | None = None) -
     schemes only at the declared arity; anything contradicting a derived
     constructor scheme's arity, or naming a numeric/string literal, is
     rejected with ConflictingOverride.
+
+    Without overrides, the environment of a definition set is derived on the
+    first call and kept on the set, so every later call returns that one
+    object and its default schemes are built once.
     """
+    if overrides is None:
+        if defs._signatures is None:
+            defs._signatures = _derive(defs, None)
+        return defs._signatures
+    return _derive(defs, overrides)
+
+
+def _derive(defs: TypeDefSet, overrides: SignatureEnv | None) -> SignatureEnv:
     constants: dict[str, TypeScheme] = {}
     functions: dict[tuple[str, int], TypeScheme] = {}
     for d in defs.defs():
@@ -348,6 +381,41 @@ def derive_signatures(defs: TypeDefSet, overrides: SignatureEnv | None = None) -
         predicates.update(overrides.predicates)
 
     return SignatureEnv(constants=constants, functions=functions, predicates=predicates)
+
+
+def _plan(scheme: TypeScheme):
+    """How to build an instance of a function scheme without walking its
+    body: (generics, codomain class, codomain symbol, domain slots, ground
+    types).  The codomain must apply its symbol to the generics in order,
+    as every derived and default scheme does.  With k generics, slot i < k
+    is the instance's i-th fresh variable, slot k its codomain, and the
+    slots after it the ground types, each used as it is.  So a domain entry
+    may be a generic, the codomain object itself or a type without
+    variables; for any other scheme the plan is the scheme, instantiated
+    as written.
+    """
+    body, generics = scheme.body, scheme.generics
+    codomain = body.codomain
+    if (
+        not generics
+        or type(codomain) not in (SymApp, CtorApp)
+        or codomain.args != tuple(TVar(g) for g in generics)
+    ):
+        return scheme
+    slots = {g: i for i, g in enumerate(generics)}
+    domain, grounds = [], []
+    for ty in body.domain:
+        if ty is codomain:
+            domain.append(len(generics))
+        elif type(ty) is TVar and ty.name in slots:
+            domain.append(slots[ty.name])
+        elif not free_type_vars(ty):
+            domain.append(len(generics) + 1 + len(grounds))
+            grounds.append(ty)
+        else:
+            return scheme
+    symbol = codomain.symbol if type(codomain) is SymApp else codomain.ctor
+    return generics, type(codomain), symbol, tuple(domain), tuple(grounds)
 
 
 def instantiate(scheme: TypeScheme, fresh) -> TypeExpr | FuncType:

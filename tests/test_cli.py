@@ -397,6 +397,25 @@ def test_usage_errors(capsys):
     assert cli(capsys)[0] == 64
 
 
+def test_fifteen_hundred_element_lists_answer(capsys):
+    # constraint generation keeps its own stack, so a long list is no deeper
+    # for it than a short one
+    n = 1500
+    variables = "[" + ", ".join(f"X{i}" for i in range(n)) + "]"
+    ints = "[" + ", ".join(str(i) for i in range(n)) + "]"
+    code, out, err = cli(capsys, "unify", variables, ints)
+    assert (code, err) == (0, "")
+    names = sorted(f"X{i}" for i in range(n))  # both maps print in name order
+    assert out.splitlines() == [
+        "solved",
+        "bindings: {" + ", ".join(f"{x} = {x[1:]}" for x in names) + "}",
+        "types: {" + ", ".join(f"{x} : int" for x in names) + "}",
+    ]
+    code, out, err = cli(capsys, "infer", ints)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["context: {}", "type: list(int)"]
+
+
 def test_oversized_inputs_never_exit_false(capsys):
     # whatever such inputs do, exit 1 is kept for false and no traceback leaks
     long_list = "[" + ", ".join(str(i) for i in range(1500)) + "]"

@@ -15,11 +15,14 @@ from regunify import (
     Base,
     Clause,
     Compound,
+    ConstraintState,
     NoFalse,
     NoUnknown,
     NoWrong,
     ResolutionBudget,
     SymApp,
+    TermConstraint,
+    TypeConstraint,
     Var,
     Yes,
     generic_context,
@@ -238,5 +241,9 @@ def test_unify_args_builds_the_reference_state(pair, overrides, start):
         for _ in range(start):
             supply.tvar()
     ctx = generic_context((goal, head), search.fresh)
-    assert search.unify_args(ctx, goal, head) == reference.unify_args(ctx, goal, head)
+    types, terms = search.unify_args(ctx, goal, head)
+    state = ConstraintState(
+        tuple(map(TermConstraint, terms[0], terms[1])), tuple(map(TypeConstraint, types[0], types[1]))
+    )
+    assert state == reference.unify_args(ctx, goal, head)
     assert search.fresh.tvar() == reference.fresh.tvar()

@@ -298,3 +298,58 @@ def test_ten_thousand_deep_state_solves():
         assert ty.symbol == "list" and len(ty.args) == 1
         depth, ty = depth + 1, ty.args[0]
     assert depth == n and ty == Base("int")
+
+
+# --- long lists and the parts built on demand ------------------------------------------
+
+
+def test_fifteen_hundred_element_lists_unify_and_infer():
+    # generation keeps its own stack, so list length costs no Python frames
+    n = 1500
+    xs = [Var(f"X{i}") for i in range(n)]
+    ints = [mk_int(i) for i in range(n)]
+    lhs, rhs = NIL, NIL
+    for x, k in zip(reversed(xs), reversed(ints)):
+        lhs, rhs = cons(x, lhs), cons(k, rhs)
+    run = typed_unify(lhs, rhs, DEFS)
+    assert isinstance(run.result, Solved)
+    assert run.result.subst == {f"X{i}": mk_int(i) for i in range(n)}
+    assert run.var_types == {f"X{i}": Base("int") for i in range(n)}
+    typing = principal_typing(rhs, DEFS)
+    assert (typing.context, typing.type) == ({}, lst(Base("int")))
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        ("f(X, [Y | Z], X)", "f(1, [2, 3], W)"),
+        ("[X, Y]", "[1, a]"),
+        ("g(X, h(Y))", "g(h(Y), X)"),
+        ("cons(X, Y)", "cons(Y, f(X))"),
+    ],
+)
+def test_initial_is_built_on_read_and_matches_generation(lhs, rhs):
+    """An untraced run's `initial`, read afterwards, is `gen_equation`'s
+    state, names and order included; traced and untraced runs agree on the
+    steps, the result and the variable types.
+    """
+    from regunify import derive_signatures, generic_context
+    from regunify.constraints import FreshSupply
+
+    from reference_constraints import gen_equation
+
+    lhs, rhs = parse_term(lhs), parse_term(rhs)
+    plain = typed_unify(lhs, rhs, DEFS)
+    assert "initial" not in vars(plain)  # not built until read
+    traced = typed_unify(lhs, rhs, DEFS, trace=True)
+    fresh = FreshSupply()
+    want = gen_equation(generic_context([lhs, rhs], fresh), derive_signatures(DEFS), lhs, rhs, fresh)
+    assert plain.initial == want == traced.initial
+    assert plain.initial is plain.initial
+    assert list(plain.context.items()) == list(generic_context([lhs, rhs], FreshSupply()).items())
+    assert (plain.steps, plain.result, plain.var_types) == (
+        traced.steps,
+        traced.result,
+        traced.var_types,
+    )
+    assert plain.trace == () and len(traced.trace) <= traced.steps

@@ -39,7 +39,7 @@ def _typed(ctx, terms, fresh):
     out = []
     for t in terms:
         ty, _, cs = gen_term(ctx, SIG, t, fresh)
-        out.append((ty, cs, type_columns(cs)))
+        out.append((ty, cs, type_columns([c.lhs for c in cs], [c.rhs for c in cs])))
     return out
 
 

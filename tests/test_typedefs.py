@@ -234,3 +234,16 @@ def test_instantiate_without_generics_is_the_body():
     body = FuncType((Base("int"),), Bool())
     assert instantiate(TypeScheme((), body), fresh) is body
     assert fresh.tvar() == TVar("$t1")  # no name drawn
+
+
+def test_signatures_are_derived_once_per_definition_set(defs, tree_defs):
+    # a definition set is immutable, so its own environment is kept on it;
+    # any overrides, or another set, get an environment of their own
+    env = derive_signatures(defs)
+    assert derive_signatures(defs) is env
+    assert derive_signatures(tree_defs) is derive_signatures(tree_defs) is not env
+    overrides = SignatureEnv(predicates={("p", 1): derive_signatures(defs).lookup_predicate("p", 1)})
+    with_overrides = derive_signatures(defs, overrides)
+    assert with_overrides is not env and with_overrides is not derive_signatures(defs, overrides)
+    assert derive_signatures(defs, SignatureEnv()) is not env
+    assert derive_signatures(defs) is env
