@@ -670,10 +670,11 @@ def columns(lhs: list, rhs: list) -> tuple[list, list, None, list]:
 
 def type_columns(lhs: list, rhs: list) -> tuple[list, list, list, list]:
     """The columns of a block of type constraints lhs[i] = rhs[i] (see
-    `gen_columns`), rules read off and no object made.  A block is never
-    rewritten, so one serves any number of `equation_columns`.
+    `gen_columns`), rules read off and objects made.  A block is never
+    rewritten, so one serves any number of `equation_columns`, and its
+    objects, made once, serve as the witnesses of every pair it is in.
     """
-    return lhs, rhs, list(map(_TYPES.rule, lhs, rhs)), [None] * len(lhs)
+    return lhs, rhs, list(map(_TYPES.rule, lhs, rhs)), list(map(TypeConstraint, lhs, rhs))
 
 
 def equation_columns(lhs: Term, left: tuple, rhs: Term, right: tuple) -> tuple[tuple, tuple]:
