@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from .errors import UnboundVariable
 from .syntax import (
     Const,
-    FuncType,
     TVar,
     Term,
     TypeExpr,
@@ -133,10 +132,11 @@ def gen_columns(
 
     The walk keeps its own stack, so a term of any depth costs no Python
     stack.  A compound node, when reached, draws its scheme's instance and
-    is replaced on the stack by it, which marks where the node closes, with
-    its arguments above, the first on top.  Closing pops the arguments'
-    types and appends one constraint per argument.  So fresh names are
-    drawn, and the context read, in the recursive walk's order.
+    is replaced on the stack by the instance's (domain, codomain) pair,
+    which marks where the node closes, with its arguments above, the first
+    on top.  Closing pops the arguments' types and appends one constraint
+    per argument.  So fresh names are drawn, and the context read, in the
+    recursive walk's order.
     """
     todo: list = [term]
     types: list = []  # the types of the arguments typed so far
@@ -150,21 +150,22 @@ def gen_columns(
                 raise UnboundVariable(f"variable {node.name} is not in the context") from None
         elif kind is Const:
             types.append(instantiate(sig.lookup_constant(node), fresh))
-        elif kind is FuncType:  # every argument of the node it closes is typed
-            n = len(node.domain)
+        elif kind is tuple:  # every argument of the node it closes is typed
+            domain, codomain = node
+            n = len(domain)
             lhs += types[-n:]
-            rhs += node.domain
+            rhs += domain
             del types[-n:]
-            types.append(node.codomain)
+            types.append(codomain)
         else:
             args = node.args
-            ft = sig.function_instance(node.functor, len(args), fresh)
-            assert len(ft.domain) == len(args)
+            instance = sig.function_instance(node.functor, len(args), fresh)
+            assert len(instance[0]) == len(args)
             if args:
-                todo.append(ft)
+                todo.append(instance)
                 todo += reversed(args)
             else:
-                types.append(ft.codomain)
+                types.append(instance[1])
     return types[0]
 
 

@@ -285,22 +285,23 @@ class SignatureEnv:
             self._function_defaults[key] = scheme
         return scheme
 
-    def function_instance(self, functor: str, arity: int, fresh) -> FuncType:
-        """`instantiate(self.lookup_function(functor, arity), fresh)`, built
-        from the scheme's instance plan (_plan), which the first successful
-        lookup of the key makes and keeps.
+    def function_instance(self, functor: str, arity: int, fresh) -> tuple[tuple, TypeExpr]:
+        """The domain and codomain of `instantiate(self.lookup_function(functor,
+        arity), fresh)`, built from the scheme's instance plan (_plan), which
+        the first successful lookup of the key makes and keeps.
         """
         key = (functor, arity)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _plan(self.lookup_function(functor, arity))
         if type(plan) is TypeScheme:
-            return instantiate(plan, fresh)
+            ft = instantiate(plan, fresh)
+            return ft.domain, ft.codomain
         generics, kind, symbol, domain, grounds = plan
         variables = tuple([fresh.tvar() for _ in generics])
         codomain = kind(symbol, variables)
         slots = variables + (codomain,) + grounds
-        return FuncType(tuple(map(slots.__getitem__, domain)), codomain)
+        return tuple(map(slots.__getitem__, domain)), codomain
 
     def lookup_predicate(self, name: str, arity: int) -> TypeScheme:
         scheme = self.predicates.get((name, arity))
