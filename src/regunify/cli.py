@@ -391,7 +391,7 @@ def cmd_oracle(args, defs, overrides):
         ty = gen_columns({}, sig, t, fresh, lhs, rhs)
         return ty, type_columns(lhs, rhs)
 
-    values = [eval_term(t) for t in kept]
+    values = [eval_term(t, defs=defs) for t in kept]
     lefts = [typed(t) for t in kept]
     rights = [typed(t) for t in kept]
     verdict_of = {Solved: "true", SolveFalse: "false", SolveWrong: "wrong"}

@@ -1,26 +1,35 @@
 """Ground semantics: values, their domains, and brute-force oracles.
 
-The value universe splits into disjoint domains: integers, floats, strings,
-atoms, booleans, lists of a fixed element domain, trees grouped by root and
-child domains, and the error value `wrong`.  The empty list is the one value
-living in more than one domain (every list domain), which the domain tags
-model with a wildcard element.
+A ground term denotes a value.  Literals, and atoms that no definition
+declares, are leaves in the domain of their base type.  Every other value is
+a constructor value c(v1..vn), read off the definition set: a declared
+constant or constructor (the built-in list's `[]` and `cons` among them), or
+a tree of an undeclared functor f/n, which the free definition
+f°(A1..An) --> f(A1..An) declares.  One rule gives all of them their domain.
+Where c(σ1..σn) is a summand of d(A1..Ak), c(v1..vn) is `wrong` if some vi is
+wrong or a boolean.  Otherwise each vi's domain must fit σi: a parameter
+takes the meet of every domain it meets, a base type needs its own domain,
+a symbol application needs the same symbol with fitting arguments, and a
+constructor term used as a type (`wrap(cons(A, []))`) admits no ground
+value.  The value's domain is then d(θ(A1)..θ(Ak)), with a parameter that
+nothing fixes left open (AnyElem), so the empty list is in every list domain
+and a cons cell needs a list tail whose elements share a domain with its
+head.  `wrong` absorbs: any argument being wrong makes the application wrong.
 
-Every function symbol builds trees freely except cons, which demands a list
-tail whose elements share a domain with the head and yields `wrong` otherwise.
-`wrong` absorbs: any argument being wrong makes the application wrong.
-
-Ground equality follows the domains: comparing values from disjoint domains
-(or anything with wrong) is itself wrong; within a common domain it is plain
-true/false.  These functions are deliberately independent of the constraint
-solver so the two can be cross-checked.
+Ground equality follows the domains: comparing values whose domains do not
+meet (or anything with wrong) is itself wrong; within a common domain it is
+plain true/false.  These functions are deliberately independent of the
+constraint solver so the two can be cross-checked.  Evaluation, the meet of
+domains and membership keep stacks of their own, so their depth is bounded
+by memory, not by Python's recursion limit; the equality of two values is
+their dataclasses' own, which recurses once per level.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import BudgetExceeded, NonGroundType, UnboundVariable, UnknownSymbol
@@ -29,227 +38,212 @@ from .syntax import (
     Bool,
     Compound,
     Const,
-    CtorApp,
     SymApp,
     TVar,
     Term,
     TypeExpr,
     Var,
     apply_type_subst,
+    free_ctor_symbol,
 )
-from .typedefs import SignatureEnv, TypeDefSet
+from .typedefs import SignatureEnv, TypeDefSet, validate
 
-# --- values ------------------------------------------------------------------
+# --- domain tags and values ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BaseDom:
+    kind: str  # int | float | string | atom | bool
+
+
+@dataclass(frozen=True)
+class AnyElem:
+    """An open parameter: the wildcard that meets every domain."""
+
+
+@dataclass(frozen=True)
+class SymDom:
+    """The domain d(t1..tk) of a type symbol's values, a tag per parameter."""
+
+    symbol: str
+    args: tuple["DomainTag | AnyElem", ...]
+
+
+DomainTag = Union[BaseDom, SymDom]
+
+ANY_ELEM = AnyElem()
 
 
 @dataclass(frozen=True)
 class IntV:
     value: int
+    tag = BaseDom("int")  # not a field: every value but WRONG reads its domain as .tag
 
 
 @dataclass(frozen=True)
 class FltV:
     value: float
+    tag = BaseDom("float")
 
 
 @dataclass(frozen=True)
 class StrV:
     value: str
+    tag = BaseDom("string")
 
 
 @dataclass(frozen=True)
 class AtmV:
+    """An atom that no definition declares."""
+
     name: str
+    tag = BaseDom("atom")
 
 
 @dataclass(frozen=True)
 class BoolV:
     value: bool
+    tag = BaseDom("bool")
 
 
 @dataclass(frozen=True)
-class NilV:
-    """The empty list."""
-
-
-@dataclass(frozen=True)
-class ConsV:
-    """A non-empty list cell.  Build through mk_cons, which checks domains;
-    a ConsV that exists is well-formed by construction.
+class CtorV:
+    """A constructor value root(children...).  Its domain tag is worked out
+    once, when eval_term builds it; it follows from the root and children,
+    so equality leaves it out.
     """
-
-    head: "Value"
-    tail: "Value"
-
-
-@dataclass(frozen=True)
-class TreeV:
-    """A complex tree value root(children...), root not cons."""
 
     root: str
     children: tuple["Value", ...]
+    tag: "SymDom" = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class WrongV:
-    """The run-time type error value."""
+    """The run-time type error value, in no domain."""
 
 
-Value = Union[IntV, FltV, StrV, AtmV, BoolV, NilV, ConsV, TreeV, WrongV]
+Value = Union[IntV, FltV, StrV, AtmV, BoolV, CtorV, WrongV]
 
 WRONG = WrongV()
-NIL_VALUE = NilV()
-
-
-# --- domain tags ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaseDom:
-    kind: str  # int | float | string | atom | bool | wrong
-
-
-@dataclass(frozen=True)
-class AnyElem:
-    """Wildcard element domain, produced only by empty lists."""
-
-
-@dataclass(frozen=True)
-class ListDom:
-    elem: "DomainTag | AnyElem"
-
-
-@dataclass(frozen=True)
-class TreeDom:
-    root: str
-    children: tuple["DomainTag", ...]
-
-
-DomainTag = Union[BaseDom, ListDom, TreeDom]
-
-Int = BaseDom("int")
-Flt = BaseDom("float")
-Str = BaseDom("string")
-Atm = BaseDom("atom")
-BoolDom = BaseDom("bool")
-Wrong = BaseDom("wrong")
-ANY_ELEM = AnyElem()
-EmptyListAny = ListDom(ANY_ELEM)
 
 
 def meet_tags(a, b):
     """Most specific common refinement of two tags; None when disjoint.
-    AnyElem acts as a wildcard inside list element positions.
+    AnyElem meets everything.  A symbol's tag waits on the stack, in a
+    1-tuple, until the meets of its arguments are the last entries of done.
     """
-    if isinstance(a, AnyElem):
-        return b
-    if isinstance(b, AnyElem):
-        return a
-    if a == b:
-        return a
-    if isinstance(a, ListDom) and isinstance(b, ListDom):
-        elem = meet_tags(a.elem, b.elem)
-        return None if elem is None else ListDom(elem)
-    if isinstance(a, TreeDom) and isinstance(b, TreeDom):
-        if a.root != b.root or len(a.children) != len(b.children):
+    done: list = []
+    todo: list = [(a, b)]
+    while todo:
+        item = todo.pop()
+        if len(item) == 1:
+            node = item[0]
+            n = len(done) - len(node.args)
+            done[n:] = [SymDom(node.symbol, tuple(done[n:]))]
+            continue
+        a, b = item
+        if a is b or b is ANY_ELEM or type(a) is BaseDom and a == b:
+            done.append(a)
+        elif a is ANY_ELEM:
+            done.append(b)
+        elif (
+            type(a) is SymDom and type(b) is SymDom
+            and a.symbol == b.symbol and len(a.args) == len(b.args)
+        ):
+            todo.append((a,))
+            todo.extend(zip(reversed(a.args), reversed(b.args)))
+        else:
             return None
-        kids = []
-        for x, y in zip(a.children, b.children):
-            m = meet_tags(x, y)
-            if m is None:
-                return None
-            kids.append(m)
-        return TreeDom(a.root, tuple(kids))
-    return None
+    return done[0]
 
 
-def domains_intersect(a: DomainTag, b: DomainTag) -> bool:
-    return meet_tags(a, b) is not None
-
-
-def dom_tag(v: Value) -> DomainTag:
-    if isinstance(v, IntV):
-        return Int
-    if isinstance(v, FltV):
-        return Flt
-    if isinstance(v, StrV):
-        return Str
-    if isinstance(v, AtmV):
-        return Atm
-    if isinstance(v, BoolV):
-        return BoolDom
-    if isinstance(v, WrongV):
-        return Wrong
-    if isinstance(v, NilV):
-        return EmptyListAny
-    if isinstance(v, ConsV):
-        elem = dom_tag(v.head)
-        tail_tag = dom_tag(v.tail)
-        assert isinstance(tail_tag, ListDom)
-        met = meet_tags(elem, tail_tag.elem)
-        assert met is not None, "ConsV invariant violated"
-        return ListDom(met)
-    return TreeDom(v.root, tuple(dom_tag(c) for c in v.children))
-
-
-def mk_cons(head: Value, tail: Value) -> Value:
-    """Apply the list constructor: wrong unless the tail is a list whose
-    element domain is compatible with the head's domain.
+def _fit(tag, ty: TypeExpr, theta: dict) -> bool:
+    """Whether a domain fits a summand argument type, each parameter met on
+    the way taking the meet of its entry in theta and the domain there.
     """
-    if isinstance(head, WrongV) or isinstance(tail, WrongV):
-        return WRONG
-    if not isinstance(tail, (NilV, ConsV)):
-        return WRONG
-    head_tag = dom_tag(head)
-    if isinstance(head_tag, BaseDom) and head_tag.kind in ("bool", "wrong"):
-        return WRONG
-    tail_tag = dom_tag(tail)
-    assert isinstance(tail_tag, ListDom)
-    if meet_tags(head_tag, tail_tag.elem) is None:
-        return WRONG
-    return ConsV(head, tail)
+    todo = [(tag, ty)]
+    while todo:
+        tag, ty = todo.pop()
+        if tag is ANY_ELEM:
+            continue
+        if type(ty) is TVar:
+            met = meet_tags(theta.get(ty.name, ANY_ELEM), tag)
+            if met is None:
+                return False
+            theta[ty.name] = met
+        elif type(ty) is SymApp and type(tag) is SymDom and tag.symbol == ty.symbol:
+            todo.extend(zip(tag.args, ty.args))  # a declared symbol: arities agree
+        elif not (type(ty) is Base and tag == BaseDom(ty.kind)):
+            return False  # another domain, or a constructor term
+    return True
+
+
+def _construct(root: str, children: tuple, defs: TypeDefSet) -> Value:
+    """The value root(children...) by the module docstring's rule."""
+    found = defs.lookup_ctor(root, len(children))
+    if found is None:
+        d = defs.lookup_free(free_ctor_symbol(root), len(children))
+        found = d, d.summands[0]
+    d, summand = found
+    theta: dict = {}
+    for child, ty in zip(children, summand.args):
+        if type(child) in (WrongV, BoolV) or not _fit(child.tag, ty, theta):
+            return WRONG
+    return CtorV(root, children, SymDom(d.symbol, tuple(theta.get(p, ANY_ELEM) for p in d.params)))
 
 
 # --- evaluation ----------------------------------------------------------------
 
 GroundState = dict[str, Value]
 
+_BUILTIN = validate(())
+_LEAVES = {"int": IntV, "float": FltV, "string": StrV, "atom": AtmV}  # by literal kind
 
-def eval_term(term: Term, state: GroundState | None = None) -> Value:
-    """Value of a term under a variable state.  Unbound variables raise."""
+
+def eval_term(
+    term: Term, state: GroundState | None = None, defs: TypeDefSet | None = None
+) -> Value:
+    """Value of a term under a variable state and a definition set (None
+    means the built-in one).  Unbound variables raise.  A compound waits on
+    the stack, in a 1-tuple, until its arguments' values are the last
+    entries of done.
+    """
     state = state or {}
-    if isinstance(term, Var):
-        try:
-            return state[term.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {term.name} has no value") from None
-    if isinstance(term, Const):
-        if term.kind == "int":
-            return IntV(term.symbol)
-        if term.kind == "float":
-            return FltV(term.symbol)
-        if term.kind == "string":
-            return StrV(term.symbol)
-        if term.symbol == "[]":
-            return NIL_VALUE
-        return AtmV(term.symbol)
-    children = tuple(eval_term(a, state) for a in term.args)
-    if any(isinstance(c, WrongV) for c in children):
-        return WRONG
-    if term.functor == "cons" and len(children) == 2:
-        return mk_cons(children[0], children[1])
-    return TreeV(term.functor, children)
+    defs = defs or _BUILTIN
+    done: list[Value] = []
+    todo: list = [term]
+    while todo:
+        term = todo.pop()
+        kind = type(term)
+        if kind is tuple:
+            node = term[0]
+            n = len(done) - len(node.args)
+            done[n:] = [_construct(node.functor, tuple(done[n:]), defs)]
+        elif kind is Compound:
+            todo.append((term,))
+            todo.extend(reversed(term.args))
+        elif kind is Var:
+            try:
+                done.append(state[term.name])
+            except KeyError:
+                raise UnboundVariable(f"variable {term.name} has no value") from None
+        elif term.kind != "atom":
+            done.append(_LEAVES[term.kind](term.symbol))
+        elif defs.lookup_ctor(term.symbol, 0) is None:
+            done.append(AtmV(term.symbol))
+        else:
+            done.append(_construct(term.symbol, (), defs))
+    return done[0]
 
 
 def eq_values(v1: Value, v2: Value) -> str:
     """Ground equality verdict: 'true', 'false', or 'wrong'.
 
-    true/false require the two domains to intersect and neither side to be
+    true/false require the two domains to meet and neither side to be
     wrong; everything else is wrong.
     """
-    if isinstance(v1, WrongV) or isinstance(v2, WrongV):
-        return "wrong"
-    if not domains_intersect(dom_tag(v1), dom_tag(v2)):
+    if type(v1) is WrongV or type(v2) is WrongV or meet_tags(v1.tag, v2.tag) is None:
         return "wrong"
     return "true" if v1 == v2 else "false"
 
@@ -258,46 +252,42 @@ def eq_values(v1: Value, v2: Value) -> str:
 
 
 def member(v: Value, ty: TypeExpr, defs: TypeDefSet) -> bool:
-    """Whether a value inhabits a ground type expression."""
-    if isinstance(ty, TVar):
-        raise NonGroundType(f"type {ty.name} is not ground")
-    if isinstance(v, WrongV):
-        return False
-    if isinstance(ty, Base):
-        leaf = {"int": IntV, "float": FltV, "string": StrV, "atom": AtmV}[ty.kind]
-        return isinstance(v, leaf)
-    if isinstance(ty, Bool):
-        return isinstance(v, BoolV)
-    if isinstance(ty, SymApp):
-        d = defs.lookup(ty.symbol) or defs.lookup_free(ty.symbol, len(ty.args))
-        if d is None:
-            raise UnknownSymbol(f"type symbol {ty.symbol} is not defined")
-        if len(d.params) != len(ty.args):
-            raise UnknownSymbol(f"type symbol {ty.symbol} used with wrong arity")
-        inst = dict(zip(d.params, ty.args))
-        # summands have distinct root constructors, so at most one can hold v
-        return any(member_ctor(v, apply_type_subst(inst, s), defs) for s in d.summands)
-    assert isinstance(ty, CtorApp)
-    return member_ctor(v, ty, defs)
+    """Whether a value inhabits a ground type expression.
 
-
-def member_ctor(v: Value, ty: CtorApp, defs: TypeDefSet) -> bool:
-    if ty.ctor == "[]":
-        return isinstance(v, NilV)
-    if ty.ctor == "cons" and len(ty.args) == 2:
-        return (
-            isinstance(v, ConsV)
-            and member(v.head, ty.args[0], defs)
-            and member(v.tail, ty.args[1], defs)
-        )
-    if not ty.args:
-        return isinstance(v, AtmV) and v.name == ty.ctor
-    return (
-        isinstance(v, TreeV)
-        and v.root == ty.ctor
-        and len(v.children) == len(ty.args)
-        and all(member(c, a, defs) for c, a in zip(v.children, ty.args))
-    )
+    The pairs still to hold wait on a stack, leftmost on top.  A symbol
+    application holds through its one summand whose constructor is the
+    value's root (summands have distinct roots), and a constructor term
+    through the value's children.
+    """
+    todo = [(v, ty)]
+    while todo:
+        v, ty = todo.pop()
+        if isinstance(ty, TVar):
+            raise NonGroundType(f"type {ty.name} is not ground")
+        if isinstance(v, WrongV):
+            return False
+        if isinstance(ty, (Base, Bool)):
+            if not isinstance(v, _LEAVES[ty.kind] if isinstance(ty, Base) else BoolV):
+                return False
+            continue
+        if isinstance(v, CtorV):
+            root, children = v.root, v.children
+        else:  # an undeclared atom is a constructor without children here
+            root, children = (v.name if isinstance(v, AtmV) else None), ()
+        if isinstance(ty, SymApp):
+            d = defs.lookup(ty.symbol) or defs.lookup_free(ty.symbol, len(ty.args))
+            if d is None:
+                raise UnknownSymbol(f"type symbol {ty.symbol} is not defined")
+            if len(d.params) != len(ty.args):
+                raise UnknownSymbol(f"type symbol {ty.symbol} used with wrong arity")
+            summand = next((s for s in d.summands if s.ctor == root), None)
+            if summand is None:
+                return False
+            ty = apply_type_subst(dict(zip(d.params, ty.args)), summand)
+        if ty.ctor != root or len(ty.args) != len(children):
+            return False
+        todo.extend(zip(reversed(children), reversed(ty.args)))
+    return True
 
 
 # --- bounded enumeration -----------------------------------------------------------

@@ -21,7 +21,7 @@ instance of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .syntax import (
     Const,
@@ -62,12 +62,26 @@ class _MatchState:
         return ty
 
     def deep_resolve(self, ty: TypeExpr) -> TypeExpr:
-        ty = self.resolve(ty)
-        if isinstance(ty, SymApp):
-            return SymApp(ty.symbol, tuple(self.deep_resolve(a) for a in ty.args))
-        if isinstance(ty, CtorApp):
-            return CtorApp(ty.ctor, tuple(self.deep_resolve(a) for a in ty.args))
-        return ty
+        """`ty` with every bound variable replaced by its binding, at any
+        depth.  An application waits on the stack, wrapped in a 1-tuple,
+        until its resolved arguments are the last entries of `done`.
+        """
+        done: list[TypeExpr] = []
+        todo: list = [ty]
+        while todo:
+            ty = todo.pop()
+            if type(ty) is tuple:
+                node = ty[0]
+                n = len(done) - len(node.args)
+                done[n:] = [replace(node, args=tuple(done[n:]))]
+                continue
+            ty = self.resolve(ty)
+            if isinstance(ty, (SymApp, CtorApp)):
+                todo.append((ty,))
+                todo.extend(reversed(ty.args))
+            else:
+                done.append(ty)
+        return done[0]
 
 
 def _occurs(name: str, ty: TypeExpr, st: _MatchState) -> bool:
@@ -113,24 +127,32 @@ def _match(a: TypeExpr, b: TypeExpr, st: _MatchState) -> bool:
 
 
 def _check(ctx: Context, sig: SignatureEnv, term: Term, ty: TypeExpr, st: _MatchState) -> bool:
-    if isinstance(term, Var):
-        try:
-            declared = ctx[term.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {term.name} is not in the context") from None
-        ok = _match(declared, ty, st)
-    elif isinstance(term, Const):
-        body = instantiate(sig.lookup_constant(term), st)
-        ok = _match(body, ty, st)
-    else:
-        ft = instantiate(sig.lookup_function(term.functor, term.arity), st)
-        assert isinstance(ft, FuncType)
-        ok = _match(ft.codomain, ty, st) and all(
-            _check(ctx, sig, arg, dom_ty, st) for arg, dom_ty in zip(term.args, ft.domain)
-        )
-    if not ok and st.failure is None:
-        st.failure = (term, st.deep_resolve(ty))
-    return ok
+    """Take the judgments `term : ty` in preorder, left to right: a node
+    matches its scheme's codomain against its candidate type, then its
+    arguments wait on the stack with their domain types.  The first
+    judgment whose match fails is remembered, with its candidate type as
+    the bindings then stand, and ends the walk.
+    """
+    todo = [(term, ty)]
+    while todo:
+        term, ty = todo.pop()
+        if isinstance(term, Var):
+            try:
+                declared = ctx[term.name]
+            except KeyError:
+                raise UnboundVariable(f"variable {term.name} is not in the context") from None
+            ok = _match(declared, ty, st)
+        elif isinstance(term, Const):
+            ok = _match(instantiate(sig.lookup_constant(term), st), ty, st)
+        else:
+            ft = instantiate(sig.lookup_function(term.functor, term.arity), st)
+            assert isinstance(ft, FuncType)
+            ok = _match(ft.codomain, ty, st)
+            todo.extend(zip(reversed(term.args), reversed(ft.domain)))
+        if not ok:
+            st.failure = (term, st.deep_resolve(ty))
+            return False
+    return True
 
 
 def check(ctx: Context, sig: SignatureEnv, term: Term, ty: TypeExpr) -> bool:

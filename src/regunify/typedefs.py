@@ -106,9 +106,16 @@ class TypeDefSet:
     def __init__(self, defs: dict[str, TypeDef]):
         self._defs = dict(defs)
         self._signatures: SignatureEnv | None = None
+        self._ctors = {
+            (s.ctor, len(s.args)): (d, s) for d in self._defs.values() for s in d.summands
+        }
 
     def lookup(self, symbol: str) -> TypeDef | None:
         return self._defs.get(symbol)
+
+    def lookup_ctor(self, ctor: str, arity: int) -> tuple[TypeDef, CtorApp] | None:
+        """The definition and the summand that declare ctor/arity, if any."""
+        return self._ctors.get((ctor, arity))
 
     def lookup_free(self, symbol: str, arity: int) -> TypeDef | None:
         """Implicit definition backing a free-constructor type symbol."""

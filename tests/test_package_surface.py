@@ -80,13 +80,8 @@ RECURSIVE = {
     "parser._resolve_type",
     "pretty.pp_term",
     "pretty.pp_type",
-    "semantics.dom_tag",
-    "semantics.eval_term",
-    "semantics.meet_tags",
     "syntax.apply_subst",
     "syntax.apply_type_subst",
-    "typecheck._check",
-    "typecheck.deep_resolve",
     "typedefs._check_summand_shape",
     "typedefs._check_symapp_arities",
 }

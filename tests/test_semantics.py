@@ -32,19 +32,23 @@ from regunify import (
     validate,
 )
 from regunify.errors import NonGroundType, UnboundVariable
+from regunify.syntax import free_ctor_symbol
 from regunify.semantics import (
+    ANY_ELEM,
     AtmV,
+    BaseDom,
     BoolV,
-    ConsV,
+    CtorV,
     IntV,
-    NilV,
-    TreeV,
+    SymDom,
     WrongV,
-    dom_tag,
-    domains_intersect,
-    mk_cons,
+    meet_tags,
     sample_ground_terms,
 )
+
+INT_TAG, ATOM_TAG = BaseDom("int"), BaseDom("atom")
+LIST_INT = SymDom("list", (INT_TAG,))
+NIL_V = eval_term(NIL)
 
 
 def term_depth(t):
@@ -54,7 +58,9 @@ def term_depth(t):
 
 def test_eval_list():
     got = eval_term(mk_list([mk_int(1), mk_int(2)]))
-    assert got == ConsV(IntV(1), ConsV(IntV(2), NilV()))
+    assert got == CtorV("cons", (IntV(1), CtorV("cons", (IntV(2), NIL_V), LIST_INT)), LIST_INT)
+    assert got.tag == got.children[1].tag == LIST_INT
+    assert NIL_V == CtorV("[]", (), SymDom("list", (ANY_ELEM,)))
 
 
 def test_eval_cons_of_nonlist_is_wrong():
@@ -80,14 +86,18 @@ def test_eval_wrong_absorbs():
 
 def test_eval_free_tree():
     got = eval_term(Compound("f", (mk_int(1), mk_atom("a"))))
-    assert got == TreeV("f", (IntV(1), AtmV("a")))
+    tag = SymDom(free_ctor_symbol("f"), (INT_TAG, ATOM_TAG))
+    assert got == CtorV("f", (IntV(1), AtmV("a")), tag)
+    assert got.tag == tag
 
 
 def test_dom_singleton_but_nil():
-    nil_tag = dom_tag(NilV())
+    nil_tag = NIL_V.tag
+    assert nil_tag == SymDom("list", (ANY_ELEM,))
     # the wildcard element stands for membership in every list domain
-    assert domains_intersect(nil_tag, dom_tag(eval_term(mk_list([mk_int(1)]))))
-    assert domains_intersect(nil_tag, dom_tag(eval_term(mk_list([mk_atom("a")]))))
+    assert meet_tags(nil_tag, eval_term(mk_list([mk_int(1)])).tag) == LIST_INT
+    assert meet_tags(nil_tag, eval_term(mk_list([mk_atom("a")])).tag) is not None
+    assert meet_tags(LIST_INT, eval_term(mk_list([mk_atom("a")])).tag) is None
 
 
 def test_eq_values_basic():
@@ -105,22 +115,23 @@ def test_eq_values_wrong_operand():
 
 
 def test_eq_values_nil_vs_lists():
-    assert eq_values(NilV(), eval_term(mk_list([mk_int(1)]))) == "false"
-    assert eq_values(NilV(), NilV()) == "true"
+    assert eq_values(NIL_V, eval_term(mk_list([mk_int(1)]))) == "false"
+    assert eq_values(NIL_V, eval_term(NIL)) == "true"
 
 
-def test_mk_cons_construction_rules():
-    assert mk_cons(IntV(1), NilV()) == ConsV(IntV(1), NilV())
-    assert mk_cons(IntV(1), IntV(2)) == WrongV()
-    assert mk_cons(BoolV(True), NilV()) == WrongV()
-    assert mk_cons(WrongV(), NilV()) == WrongV()
+def test_cons_construction_rules():
+    cell = cons(Var("H"), Var("T"))
+    assert eval_term(cell, {"H": IntV(1), "T": NIL_V}) == CtorV("cons", (IntV(1), NIL_V), LIST_INT)
+    assert eval_term(cell, {"H": IntV(1), "T": IntV(2)}) == WrongV()
+    assert eval_term(cell, {"H": BoolV(True), "T": NIL_V}) == WrongV()
+    assert eval_term(cell, {"H": WrongV(), "T": NIL_V}) == WrongV()
 
 
 def test_member_base_and_lists(defs):
     assert member(IntV(1), Base("int"), defs)
     assert not member(IntV(1), Base("float"), defs)
     assert member(eval_term(mk_list([mk_int(1)])), parse_type("list(int)"), defs)
-    assert member(NilV(), parse_type("list(float)"), defs)
+    assert member(NIL_V, parse_type("list(float)"), defs)
     assert not member(IntV(1), parse_type("list(int)"), defs)
     assert not member(eval_term(mk_list([mk_int(1)])), parse_type("list(atom)"), defs)
 
@@ -154,6 +165,88 @@ def test_member_free_constructor(defs):
     ty = SymApp(body.codomain.symbol, ground)
     assert member(v, ty, defs)
     assert not member(v, SymApp(body.codomain.symbol, (ground[1], ground[0])), defs)
+
+
+# --- the constructor rule over user definitions ---------------------------------
+
+
+def _eval(text, defs):
+    return eval_term(parse_term(text), defs=defs)
+
+
+def test_declared_constants_live_in_their_types_domain():
+    defs = validate(parse_typedefs("color --> red + green.\ntri(A) --> t3(A, A, A) + nil3."))
+    red, green = _eval("red", defs), _eval("green", defs)
+    assert red == CtorV("red", (), SymDom("color", ())) and red.tag == SymDom("color", ())
+    assert _eval("nil3", defs).tag == SymDom("tri", (ANY_ELEM,))
+    assert _eval("blue", defs) == AtmV("blue")  # declared by no definition
+    assert eq_values(red, green) == "false"
+    assert eq_values(red, AtmV("a")) == "wrong"
+    assert eq_values(_eval("nil3", defs), red) == "wrong"
+    # without the definitions a declared constant is a plain atom
+    assert eval_term(mk_atom("red")) == AtmV("red")
+
+
+def test_parameters_take_the_meet_of_what_they_meet():
+    defs = validate(parse_typedefs("tri(A) --> t3(A, A, A) + nil3."))
+    nested = SymDom("tri", (SymDom("tri", (ANY_ELEM,)),))
+    assert _eval("t3(nil3, nil3, nil3)", defs).tag == nested
+    assert _eval("t3([], [1], [])", defs).tag == SymDom("tri", (LIST_INT,))
+    assert _eval("t3(1, 1, a)", defs) == WrongV()
+    assert _eval("t3([1], [a], [])", defs) == WrongV()
+
+
+def test_symbol_arguments_need_their_symbol(tree_defs):
+    assert _eval("node(leaf(0), leaf(1))", tree_defs).tag == SymDom("tree", (INT_TAG,))
+    assert _eval("leaf([])", tree_defs).tag == SymDom("tree", (SymDom("list", (ANY_ELEM,)),))
+    assert _eval("node(0, 0)", tree_defs) == WrongV()
+    assert _eval("node(leaf(0), leaf(a))", tree_defs) == WrongV()
+    assert _eval("node(leaf(0), [])", tree_defs) == WrongV()
+
+
+def test_base_and_constructor_term_arguments():
+    text = "box --> bx(list(int)) + empty.\np(A) --> wrap(cons(A, [])) + none."
+    defs = validate(parse_typedefs(text))
+    assert _eval("bx([])", defs).tag == SymDom("box", ())
+    assert _eval("bx([1, 0])", defs).tag == SymDom("box", ())
+    assert _eval("bx([a])", defs) == WrongV()
+    assert _eval("bx(1)", defs) == WrongV()
+    # a constructor term used as a type argument admits no ground value
+    assert _eval("wrap([1])", defs) == WrongV()
+    assert _eval("wrap([])", defs) == WrongV()
+    assert _eval("none", defs).tag == SymDom("p", (ANY_ELEM,))
+
+
+def test_semantics_names_no_list_constructor():
+    # lists are the built-in definition, read like any other
+    import ast
+    import regunify.semantics as semantics
+
+    tree = ast.parse(open(semantics.__file__, encoding="utf-8").read())
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert not strings & {"cons", "[]"}
+    for name in ("NilV", "ConsV", "ListDom", "TreeDom", "EmptyListAny", "NIL_VALUE", "mk_cons"):
+        assert not hasattr(semantics, name)
+
+
+def test_long_and_deep_values_evaluate():
+    n = 10**4
+    v = eval_term(mk_list([mk_int(i) for i in range(n)]))
+    for i in range(n):
+        assert v.root == "cons" and v.children[0] == IntV(i) and v.tag == LIST_INT
+        v = v.children[1]
+    assert v == NIL_V
+    term = mk_int(0)
+    for _ in range(n):
+        term = Compound("f", (term,))
+    v = eval_term(term)
+    tag = v.tag
+    for _ in range(n):
+        assert v.root == "f" and tag.symbol == free_ctor_symbol("f") and len(tag.args) == 1
+        v, tag = v.children[0], tag.args[0]
+    assert v == IntV(0) and tag == INT_TAG
+    # meeting two such tags walks them without recursion
+    assert meet_tags(eval_term(term).tag, eval_term(term).tag) is not None
 
 
 # --- enumeration ---------------------------------------------------------------

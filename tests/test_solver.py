@@ -267,6 +267,23 @@ def test_chain_result_shares_subterms():
     assert tree_size(run.result.subst[f"X{n}"]) == 2 ** (n + 1) - 1
 
 
+def test_double_sharing_chain_takes_exponentially_many_steps():
+    # h(X1..Xn, Y1..Yn, Xn) = h(g(X0,X0)..g(Xn-1,Xn-1), g(Y0,Y0)..g(Yn-1,Yn-1), Yn):
+    # the rules as stated decompose the two 2**n-node trees that Xn = Yn
+    # stands for, about 4 * 2**n steps.  At n=24 that is about 67 M steps,
+    # past the default budget of 38.9 M, so the input exits 70.
+    counts = []
+    for n in range(4, 13):
+        xs = [Var(f"X{i}") for i in range(n + 1)]
+        ys = [Var(f"Y{i}") for i in range(n + 1)]
+        links = [Compound("g", (v[i], v[i])) for v in (xs, ys) for i in range(n)]
+        lhs = Compound("h", (*xs[1:], *ys[1:], xs[n]))
+        run = typed_unify(lhs, Compound("h", (*links, ys[n])), DEFS)
+        assert isinstance(run.result, Solved)
+        counts.append(run.steps)
+    assert counts == [124, 202, 344, 614, 1140, 2178, 4240, 8350, 16556]
+
+
 # --- deep states --------------------------------------------------------------------
 
 
