@@ -48,7 +48,7 @@ from .resolution import (
     Yes,
     resolve,
 )
-from .semantics import LiteralPool, eq_values, eval_term, sample_ground_terms
+from .semantics import MAX_TERMS, LiteralPool, eq_values, eval_term, sample_ground_terms
 from .solver import (
     Solved,
     SolveFalse,
@@ -377,7 +377,11 @@ def cmd_oracle(args, defs, overrides):
         raise _UsageError(f"argument --limit: must be at least 0, got {args.limit}")
     sig = derive_signatures(defs, overrides).with_function("f", 1)
     pool = LiteralPool(ints=(0, 1), floats=(), strings=(), atoms=("a",))
-    n_terms, kept = sample_ground_terms(sig, args.depth, pool, max_pairs=args.limit, seed=args.seed)
+    try:  # the count comes before any term is built: a request too large
+        n_terms, kept = sample_ground_terms(sig, args.depth, pool, max_pairs=args.limit, seed=args.seed)
+    except BudgetExceeded:
+        too_many = f"depth {args.depth} has more than {MAX_TERMS} terms, the enumeration budget"
+        raise _UsageError(f"argument --depth: {too_many}; give a smaller --depth") from None
     # each kept term is typed once per side, from one supply, so the two
     # sides of a pair never share a variable: every pair's state is the
     # one `gen_equation` builds, up to the names of its type variables.

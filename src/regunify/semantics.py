@@ -20,9 +20,8 @@ Ground equality follows the domains: comparing values whose domains do not
 meet (or anything with wrong) is itself wrong; within a common domain it is
 plain true/false.  These functions are deliberately independent of the
 constraint solver so the two can be cross-checked.  Evaluation, the meet of
-domains and membership keep stacks of their own, so their depth is bounded
-by memory, not by Python's recursion limit; the equality of two values is
-their dataclasses' own, which recurses once per level.
+domains, equality and membership keep stacks of their own, so their depth
+is bounded by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -245,7 +244,25 @@ def eq_values(v1: Value, v2: Value) -> str:
     """
     if type(v1) is WrongV or type(v2) is WrongV or meet_tags(v1.tag, v2.tag) is None:
         return "wrong"
-    return "true" if v1 == v2 else "false"
+    return "true" if _same(v1, v2) else "false"
+
+
+def _same(v1: Value, v2: Value) -> bool:
+    """v1 == v2 as the dataclasses' `==` decides it, with a stack of its own
+    instead of one call per level: two distinct constructor values need the
+    same root, the same child count and the same children in turn; any
+    other pair is left to `==`, which is identity across classes.
+    """
+    todo = [(v1, v2)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is CtorV and type(b) is CtorV and a is not b:
+            if a.root != b.root or len(a.children) != len(b.children):
+                return False
+            todo.extend(zip(a.children, b.children))
+        elif a != b:
+            return False
+    return True
 
 
 # --- type membership -------------------------------------------------------------
@@ -305,6 +322,8 @@ class LiteralPool:
 
 DEFAULT_POOL = LiteralPool()
 
+MAX_TERMS = 10**6  # the enumeration budget: more terms raise BudgetExceeded
+
 
 def _leaves(sig: SignatureEnv, pool: LiteralPool) -> list[Term]:
     """The depth-0 terms, in enumeration order, each once."""
@@ -321,7 +340,7 @@ def enumerate_ground_terms(
     sig: SignatureEnv,
     depth: int,
     pool: LiteralPool = DEFAULT_POOL,
-    max_terms: int = 10**6,
+    max_terms: int = MAX_TERMS,
 ) -> Iterator[Term]:
     """Every ground term over the signature's constructors and the literal
     pool, up to the given constructor-application depth, each exactly once.
@@ -391,7 +410,7 @@ def sample_ground_terms(
     pool: LiteralPool = DEFAULT_POOL,
     max_pairs: int = 10_000,
     seed: int = 0,
-    max_terms: int = 10**6,
+    max_terms: int = MAX_TERMS,
 ) -> tuple[int, list[Term]]:
     """(count, kept): how many terms `enumerate_ground_terms` yields, and the
     terms whose pairs `stratified_pairs` forms from them, in the same order.

@@ -193,15 +193,17 @@ _KEYS = [(i, _LAST) for i in range(256)]
 class _Phase:
     """One family's constraints, rewritten to a fixpoint by its six rules.
 
-    Constraints are numbered (cid) as they are made and never renumbered.
-    Each one is kept as its two sides as they were written, and eliminate
-    does not rewrite them: it records its binding v -> s in a triangular
-    store keyed by variable name.  A side stands for the term it denotes
-    under the store, every bound variable replaced by its binding all the
-    way down, and that is the side the rules' definition sees.  So a binding
-    costs the constraints whose rule it can change, not every constraint
-    that holds v.  A constraint object is built through the store only when
-    a trace, a witness or the caller asks for it.
+    Each constraint keeps one number (cid) and one order key for its whole
+    life, as in Martelli and Montanari's algorithm: decompose rewrites its
+    redex in place into the equation of the last arguments, and only the
+    others are new.  Each constraint is kept as its two sides as they were
+    written, and eliminate does not rewrite them: it records its binding
+    v -> s in a triangular store keyed by variable name.  A side stands for
+    the term it denotes under the store, every bound variable replaced by
+    its binding all the way down, and that is the side the rules' definition
+    sees.  So a binding costs the constraints whose rule it can change, not
+    every constraint that holds v.  A constraint object is built through the
+    store only when a trace, a witness or the caller asks for it.
 
     A phase starts from columns, one entry per constraint in order: the left
     sides, the right sides, the local rules (None: read off here) and the
@@ -217,18 +219,21 @@ class _Phase:
     up to date as the rules fire instead:
 
     - Order keys.  Keys are tuples ending in _LAST that compare like the
-      positions of their constraints in the sequence.  Decompose gives its
-      last child the parent's key and each other child the parent's prefix
-      extended by a number from a counter that only grows, so the children
-      sit where the parent was, and a list's spine keeps its keys short.
+      positions of their constraints in the sequence.  Decompose leaves the
+      redex's key to the last child and gives each other child the redex's
+      prefix extended by a number from a counter that only grows, so the
+      children sit where the redex was, and a list's spine keeps its keys
+      short.
     - One heap of (rule, key, cid) entries.  Its least valid entry is the
       lowest rule that applies anywhere and the leftmost constraint it
-      matches, so a step looks at one heap top, not one per rule.  Entries
-      go stale when their constraint is read again or removed and are
-      dropped when they reach the top.  An eliminate entry is a lower
-      bound: when it reaches the top, the variable may occur in the other
-      side by now, which makes it occurs, or only once in the state, which
-      makes it no rule and drops it for good (it could only gain
+      matches, so a step looks at one heap top, not one per rule.  A step
+      consumes its redex's entry, which redex() leaves at the top: replaced
+      where the same cid is queued again, popped where it is deleted or
+      binds.  Entries go stale only when a binding reads a constraint again,
+      and are dropped when they reach the top.  An eliminate entry is a
+      lower bound: when it reaches the top, the variable may occur in the
+      other side by now, which makes it occurs, or only once in the state,
+      which makes it no rule and drops it for good (it could only gain
       occurrences from a binding that holds it, and then it would have
       occurred twice already).
     - The occurrence count of every variable in the state the sides denote.
@@ -256,7 +261,7 @@ class _Phase:
         self.family = family
         self.var = family.var
         # The columns, by cid: each side as written; the local rule the
-        # constraint matches, 0 once decomposed or deleted; its object, None
+        # constraint matches, 0 once deleted; its object, None
         # until made and, without a trace, kept only until the first binding.
         self.lhs, self.rhs, rules, self.made = columns
         n = len(self.lhs)
@@ -273,9 +278,8 @@ class _Phase:
         self.tops: Optional[dict[str, list]] = None  # variable -> cids, each maybe stale
         self.inside: Optional[dict[str, int]] = None  # counts of the redex's binding
         self.below: dict[str, dict] = {}  # bound variable -> counts of its binding
-        # traced only: variable -> cids, each live or forwarding
+        # traced only: variable -> cids, each maybe stale
         self.index: Optional[dict[str, list]] = {} if trace else None
-        self.forward: dict[int, int] = {}  # traced only: decomposed cid -> last child
         self.fresh = n
 
     # --- the store -------------------------------------------------------------
@@ -393,27 +397,20 @@ class _Phase:
 
     # --- bookkeeping ---------------------------------------------------------
 
-    def _queue(self, cid: int, lhs, rhs) -> None:
+    def _queue(self, cid: int, lhs, rhs, push: Callable = heappush) -> None:
         """Make lhs = rhs constraint `cid`, its tops read through the store,
-        and queue the rule it matches.
+        and queue the rule it matches: `push` is heapreplace where the entry
+        takes the place of the redex's at the top of the heap.
         """
-        bound = self.bound
-        if bound:
-            var, tops = self.var, self.tops
-            if type(lhs) is var:
-                if lhs.name in bound:
-                    lhs = self._deref(lhs)
-                if type(lhs) is var:
-                    tops.setdefault(lhs.name, []).append(cid)
-            if type(rhs) is var:
-                if rhs.name in bound:
-                    rhs = self._deref(rhs)
-                if type(rhs) is var:
-                    tops.setdefault(rhs.name, []).append(cid)
+        if self.bound:
+            lhs, rhs = self._deref(lhs), self._deref(rhs)
+            for side in lhs, rhs:
+                if type(side) is self.var:
+                    self.tops.setdefault(side.name, []).append(cid)
         self.lhs[cid] = lhs
         self.rhs[cid] = rhs
         rule = self.rules[cid] = self.family.rule(lhs, rhs)
-        heappush(self.heap, (rule, self.keys[cid], cid))
+        push(self.heap, (rule, self.keys[cid], cid))
 
     def _add(self, lhs, rhs, key) -> int:
         cid = len(self.rules)
@@ -421,13 +418,8 @@ class _Phase:
         self.rhs.append(rhs)
         self.keys.append(key)
         self.made.append(None)
-        if self.bound:
-            self.rules.append(0)
-            self._queue(cid, lhs, rhs)
-        else:  # nothing to read through yet
-            rule = self.family.rule(lhs, rhs)
-            self.rules.append(rule)
-            heappush(self.heap, (rule, key, cid))
+        self.rules.append(0)
+        self._queue(cid, lhs, rhs)
         return cid
 
     def constraint(self, cid: int, memo: Optional[dict] = None):
@@ -483,18 +475,8 @@ class _Phase:
 
     def _holders(self, name: str, binder: int) -> set:
         """Live constraints other than `binder` that may contain `name`."""
-        rules, forward = self.rules, self.forward
-        found = set()
-        for cid in self.index.get(name, ()):
-            path = []
-            while not rules[cid] and cid in forward:
-                path.append(cid)
-                cid = forward[cid]
-            for p in path:  # later lookups jump straight to the end
-                forward[p] = cid
-            if rules[cid] and cid != binder:
-                found.add(cid)
-        return found
+        rules = self.rules
+        return {cid for cid in self.index.get(name, ()) if rules[cid] and cid != binder}
 
     def _live(self) -> list:
         """The cids of the live constraints in sequence order."""
@@ -557,43 +539,49 @@ class _Phase:
         return None
 
     def fire(self, rule: int, cid: int) -> None:
-        """Apply decompose, delete, orient or eliminate to constraint `cid`.
-        With a trace, what orient and decompose make is built from the
-        object of `cid`, whose sides already stand for what they denote.
+        """Apply decompose, delete, orient or eliminate to constraint `cid`,
+        consuming the heap entry redex() left at the top before queueing
+        anything else.  With a trace, what orient and decompose make is
+        built from the object of `cid`, whose sides already stand for what
+        they denote.
         """
-        lhs, rhs = self.lhs[cid], self.rhs[cid]
+        lhs, rhs, made = self.lhs[cid], self.rhs[cid], self.made
         if rule == _ORIENT:
             if self.index is None:
-                self.made[cid] = None
+                made[cid] = None
             else:
                 old = self.constraint(cid)
-                self.made[cid] = self.family.constraint(old.rhs, old.lhs)
-            self._queue(cid, rhs, lhs)
-        elif rule == _ELIMINATE:
-            self._eliminate(cid, lhs.name, rhs)
-        else:
-            self.rules[cid] = 0
-            if rule == _DELETE:
-                if type(lhs) is self.var and self.counts is not None:
-                    self.counts[lhs.name] -= 2
-                return
+                made[cid] = self.family.constraint(old.rhs, old.lhs)
+            self._queue(cid, rhs, lhs, heapreplace)
+        elif rule == _DECOMPOSE:
+            old = None if self.index is None else self.constraint(cid)
             key = self.keys[cid]
-            pairs = list(zip(lhs.args, rhs.args))
-            first = len(self.rules)  # the children's cids run on from here
-            for a, b in pairs[:-1]:
-                self._add(a, b, key[:-1] + (self.fresh, _LAST))
+            *firsts, last = zip(lhs.args, rhs.args)
+            # the last arguments' equation takes over the redex's cid and key
+            self._queue(cid, *last, heapreplace)
+            made[cid] = None
+            children = []
+            for a, b in firsts:
+                children.append(self._add(a, b, key[:-1] + (self.fresh, _LAST)))
                 self.fresh += 1
-            self._add(*pairs[-1], key)
-            if self.index is None:
+            if old is None:
                 return
-            old, made = self.constraint(cid), self.made
-            children = range(first, len(self.rules))
-            for child, a, b in zip(children, old.lhs.args, old.rhs.args):
+            for child, a, b in zip(children + [cid], old.lhs.args, old.rhs.args):
                 made[child] = self.family.constraint(a, b)
             if self.counts is not None:  # else the census indexes them
-                for child in children[:-1]:
+                for child in children:
                     self._index(child)
-                self.forward[cid] = children[-1]
+        else:
+            heap = self.heap
+            entry = heappop(heap)
+            while heap and heap[0] == entry:  # a copy a re-read left, valid again
+                heappop(heap)
+            if rule == _ELIMINATE:
+                self._eliminate(cid, lhs.name, rhs)
+                return
+            self.rules[cid] = 0
+            if type(lhs) is self.var and self.counts is not None:
+                self.counts[lhs.name] -= 2
 
     def _eliminate(self, binder: int, name: str, value) -> None:
         """Bind `name` to `value` and read again the rules that can change."""
@@ -616,8 +604,10 @@ class _Phase:
         tops, deref, var = self.tops, self._deref, self.var
         moved = tops.pop(name, [])
         if type(value) is not var:
-            for cid in moved:  # those with `name` on the left change rule
-                if rules[cid] and rules[cid] != _BOUND and type(deref(self.lhs[cid])) is not var:
+            # those with `name` on the left change rule, each once: a cid
+            # listed twice matches a rule below eliminate once read again
+            for cid in moved:
+                if _ELIMINATE <= rules[cid] <= _OCCURS and type(deref(self.lhs[cid])) is not var:
                     self._queue(cid, self.lhs[cid], self.rhs[cid])
             return
         short, long = moved, tops.get(value.name, [])

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 from regunify.cli import _human_run, _human_unify, main
 
@@ -327,10 +328,19 @@ def _canonical_types(types):
     return re.sub(r"\$t\d+", lambda m: names.setdefault(m.group(), f"#{len(names)}"), text)
 
 
-def test_oracle_over_budget_depth_is_an_internal_error(capsys):
-    # refused from the level counts, before a term is built
-    code, out, err = cli(capsys, "oracle", "--depth", "4")
-    assert (code, out, err) == (70, "", "internal error: enumeration exceeded 1000000 terms\n")
+def test_oracle_over_budget_depth_is_a_usage_error(capsys):
+    # refused from the level counts, before a term is built: a request too
+    # large for the budget, not a broken invariant
+    data = Path(__file__).parent / "data" / "over_budget_at_depth2.t"
+    for argv in (["--depth", "4"], ["--types", str(data), "--depth", "2"]):
+        code, out, err = cli(capsys, "oracle", *argv)
+        depth = argv[-1]
+        assert (code, out, err) == (
+            64,
+            "",
+            f"usage error: argument --depth: depth {depth} has more than 1000000 terms,"
+            " the enumeration budget; give a smaller --depth\n",
+        )
 
 
 def test_oracle_negative_limit_is_a_usage_error(capsys):

@@ -249,6 +249,21 @@ def test_long_and_deep_values_evaluate():
     assert meet_tags(eval_term(term).tag, eval_term(term).tag) is not None
 
 
+def test_eq_values_on_deep_values():
+    # two separately built 10^4-deep values, equal or differing only in the
+    # leaf at the bottom, are compared without recursion
+    def nest(leaf):
+        term = leaf
+        for _ in range(10**4):
+            term = Compound("f", (term,))
+        return eval_term(term)
+
+    assert eq_values(nest(mk_int(1)), nest(mk_int(1))) == "true"
+    assert eq_values(nest(mk_int(1)), nest(mk_int(2))) == "false"
+    long = eval_term(mk_list([mk_int(i) for i in range(10**4)]))
+    assert eq_values(long, eval_term(mk_list([mk_int(i) for i in range(10**4)]))) == "true"
+
+
 # --- enumeration ---------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ unifiers, down to the order of their entries.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regunify import (
@@ -97,16 +97,60 @@ _types = st.recursive(
 )
 
 
+def _f(name, *args):
+    return Compound(name, args)
+
+
+def _pair(*args):
+    return SymApp("pair", args)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_terms, _terms)
+# decompose rewrites its redex in place: the first child's entry sorts
+# above the one that takes over the redex's cid and key
+@example(
+    _f("f", _f("g", mk_atom("a")), _f("h", Var("X"))),
+    _f("f", _f("g", mk_atom("b")), _f("h", mk_int(1))),
+)
 def test_equations_match_reference(lhs, rhs):
-    assert_same(equation_state(lhs, rhs))
+    state = equation_state(lhs, rhs)
+    assert_same(state)
+    assert_same(state, trace=False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.tuples(_types, _types), max_size=6),
     st.lists(st.tuples(_terms, _terms), max_size=4),
+)
+# the second constraint is read again through the binding of X (A), then
+# decomposed in place; in the nested ones its first child decomposes too,
+# so that child's entry sorts above the one that keeps the redex's cid
+@example(
+    [],
+    [(Var("X"), _f("f", Var("Y"), mk_atom("a"))), (Var("X"), _f("f", mk_atom("b"), Var("Z")))],
+)
+@example(
+    [
+        (TVar("A"), _pair(TVar("B"), Base("int"))),
+        (TVar("A"), _pair(SymApp("list", (TVar("C"),)), TVar("D"))),
+    ],
+    [],
+)
+@example(
+    [],
+    [
+        (Var("X"), _f("f", _f("g", Var("Y")), mk_atom("a"))),
+        (Var("X"), _f("f", _f("g", mk_atom("b")), Var("Z"))),
+    ],
+)
+@example(
+    [
+        (TVar("A"), _pair(SymApp("list", (TVar("B"),)), Base("int"))),
+        (TVar("A"), _pair(SymApp("list", (SymApp("list", (TVar("C"),)),)), TVar("D"))),
+    ],
+    [],
 )
 def test_hand_built_states_match_reference(type_pairs, term_pairs):
     # states no equation generates: many constraints on few variables, so
@@ -116,6 +160,7 @@ def test_hand_built_states_match_reference(type_pairs, term_pairs):
         types=tuple(TypeConstraint(a, b) for a, b in type_pairs),
     )
     assert_same(state)
+    assert_same(state, trace=False)
 
 
 def _types(*pairs):
@@ -301,3 +346,40 @@ def test_long_run_on_one_constraint():
     state = ConstraintState(terms=(TermConstraint(*deep(300, "solved")),), types=())
     assert assert_same(state) == "solved"
     assert solve(state).steps == 300
+
+
+def test_steps_consume_their_redex_and_decompose_in_place(monkeypatch):
+    # each step leaves none of its redex's heap entries behind (one stays
+    # only where the constraint now matches the same rule under the same
+    # key), and a decompose of arity n makes n - 1 records, the last
+    # arguments' equation keeping the redex's cid and key
+    from regunify import solver
+
+    fire, seen = solver._Phase.fire, set()
+
+    def checked_fire(phase, rule, cid):
+        entry, records, key = phase.heap[0], len(phase.rules), phase.keys[cid]
+        arity = len(phase.lhs[cid].args) if rule == 1 else 1
+        fire(phase, rule, cid)
+        assert phase.heap.count(entry) == (phase.rules[cid] == rule), (rule, entry)
+        assert (len(phase.rules) - records, phase.keys[cid]) == (arity - 1, key)
+        seen.add((rule, arity > 2))
+
+    monkeypatch.setattr(solver._Phase, "fire", checked_fire)
+    Z, U = Var("Z"), Var("U")
+    states = [
+        equation_state(*shape(n, variant))
+        for shape, n in ((wide, 6), (deep, 4), (chain, 4))
+        for variant in ("solved", "false", "wrong")
+    ]
+    states += [
+        # X = f(Y): read again through X's binding, decomposed in place, then
+        # oriented to an eliminate whose stale twin is still in the heap
+        _terms((X, _f("f", mk_atom("a"))), (X, _f("f", Y)), (Y, mk_atom("b"))),
+        _types((A, SymApp("list", (INT,))), (A, SymApp("list", (B,))), (B, Base("float"))),
+        _terms((U, _f("h", X, Y, Z)), (U, _f("h", mk_int(1), mk_int(2), mk_int(3))), (X, Y)),
+    ]
+    for state in states:
+        assert_same(state)
+        assert_same(state, trace=False)
+    assert {(1, True), (2, False), (4, False), (5, False)} <= seen
