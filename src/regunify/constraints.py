@@ -27,13 +27,18 @@ columns for callers that want a `ConstraintState`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import UnboundVariable
+from .errors import ArityMismatch, UnboundVariable
 from .syntax import (
+    Compound,
     Const,
+    CtorApp,
+    SymApp,
     TVar,
     Term,
     TypeExpr,
+    TypeScheme,
     Var,
     free_vars,
     tree_counts,
@@ -85,6 +90,17 @@ class FreshSupply:
     def var(self, hint: str = "g") -> Var:
         self._count += 1
         return Var(f"${hint}{self._count}")
+
+    @property
+    def drawn(self) -> int:
+        """How many names the supply has handed out."""
+        return self._count
+
+    def skip(self, n: int) -> None:
+        """Move on as if n more names had been handed out, where a caller
+        knows the names a walk would draw would never be seen.
+        """
+        self._count += n
 
     @staticmethod
     def tvar_for(var_name: str) -> TVar:
@@ -167,6 +183,160 @@ def gen_columns(
             else:
                 types.append(instance[1])
     return types[0]
+
+
+class ClosedTypes:
+    """The closed principal types of ground terms under one signature
+    environment, and how many fresh names `gen_columns` draws typing each.
+
+    A type is closed when it holds no type variable: int and list(atom) are,
+    and list(A), the type of [], is not.  A compound's type is read off its
+    arguments' without solving: the domain of the functor's scheme is
+    matched against the closed argument types, each generic bound to the
+    part of a type it meets, and the codomain is built from the bindings.
+    An argument that is a constant with an open scheme, such as [], is
+    checked last, its scheme matched against its domain type as the other
+    arguments closed it; where they leave that type open, the node gets no
+    closed type.  So `[1, 2]` types as list(int), while `[]`, `[[]]` and
+    `f([])` have none, even where `f : A -> int` closes the last.
+
+    `of` gives None for a term with a variable, one whose type is open or
+    does not exist, or one where a signature lookup raises: the caller
+    then types it with `gen_columns`, which raises the same error there.
+
+    Each compound is typed once: `nodes` maps its id to the node itself, so
+    that the id stays its own, its type and its draws.  Each type is built
+    once (`made`), so equal closed types are one object, compared by
+    identity at any depth, and a type's id can stand for it in a key.
+    """
+
+    def __init__(self, sig: SignatureEnv):
+        self.sig = sig
+        self.nodes: dict[int, tuple] = {}  # id -> (node, type or None, draws)
+        self.made: dict = {}  # (class, name, argument ids) or a leaf type -> the type
+
+    def of(self, term: Term) -> Optional[tuple[TypeExpr, int]]:
+        """The closed type of `term` and the names typing it draws, or None."""
+        kind = type(term)
+        if kind is Const:
+            got = self._constant(term)
+            return None if got is None or type(got[0]) is TypeScheme else got
+        if kind is not Compound:
+            return None
+        nodes = self.nodes
+        todo = [term]
+        while todo:
+            node = todo[-1]
+            if id(node) in nodes:  # a shared argument, queued twice
+                todo.pop()
+                continue
+            waiting = [a for a in node.args if type(a) is Compound and id(a) not in nodes]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            nodes[id(node)] = (node, *self._close(node))
+        _node, ty, draws = nodes[id(term)]
+        return None if ty is None else (ty, draws)
+
+    def _constant(self, const: Const):
+        """(closed type, 0), or (scheme, its generics' count) for an open
+        scheme, or None where the lookup raises.
+        """
+        try:
+            scheme = self.sig.lookup_constant(const)
+        except ArityMismatch:
+            return None
+        if scheme.generics:
+            return scheme, len(scheme.generics)
+        return self._build(scheme.body, {}), 0
+
+    def _close(self, node: Compound) -> tuple[Optional[TypeExpr], int]:
+        """The type and draws of a compound whose compound arguments are typed."""
+        try:
+            scheme = self.sig.lookup_function(node.functor, len(node.args))
+        except ArityMismatch:
+            return None, 0
+        body = scheme.body
+        binding: dict = {}
+        draws = len(scheme.generics)
+        later = []  # (domain type, open scheme) of each open constant
+        for arg, domain in zip(node.args, body.domain):
+            kind = type(arg)
+            if kind is Compound:
+                got = self.nodes[id(arg)][1:]
+            elif kind is Const:
+                got = self._constant(arg)
+            else:
+                return None, 0
+            if got is None or got[0] is None:
+                return None, 0
+            ty, n = got
+            draws += n
+            if type(ty) is TypeScheme:
+                later.append((domain, ty))
+            elif not _match(domain, ty, binding):
+                return None, 0
+        for domain, open_scheme in later:
+            ty = self._build(domain, binding)
+            if ty is None or not _match(open_scheme.body, ty, {}):
+                return None, 0
+        return self._build(body.codomain, binding), draws
+
+    def _build(self, pattern: TypeExpr, binding: dict) -> Optional[TypeExpr]:
+        """`pattern` with each variable replaced by its binding, made of
+        built types; None if a variable is unbound.
+        """
+        made = self.made
+        out: list = []
+        todo = [pattern]
+        while todo:
+            node = todo.pop()
+            kind = type(node)
+            if kind is tuple:  # every argument of the node it closes is built
+                cls, name, n = node
+                args = tuple(out[len(out) - n :])
+                del out[len(out) - n :]
+                key = (cls, name, *map(id, args))
+                ty = made.get(key)
+                if ty is None:
+                    ty = made[key] = cls(name, args)
+                out.append(ty)
+            elif kind is TVar:
+                ty = binding.get(node.name)
+                if ty is None:
+                    return None
+                out.append(ty)
+            elif kind is SymApp or kind is CtorApp:
+                name = node.symbol if kind is SymApp else node.ctor
+                todo.append((kind, name, len(node.args)))
+                todo += reversed(node.args)
+            else:  # base types and bool
+                out.append(made.setdefault(node, node))
+        return out[0]
+
+
+def _match(pattern: TypeExpr, ty: TypeExpr, binding: dict) -> bool:
+    """Whether the built type `ty` is an instance of `pattern` extending
+    `binding`, which it extends with the variables `pattern` binds.
+    """
+    todo = [(pattern, ty)]
+    while todo:
+        p, t = todo.pop()
+        kind = type(p)
+        if kind is TVar:
+            if binding.setdefault(p.name, t) is not t:
+                return False
+        elif kind is not type(t):
+            return False
+        elif kind is SymApp or kind is CtorApp:
+            same = p.symbol == t.symbol if kind is SymApp else p.ctor == t.ctor
+            if not same or len(p.args) != len(t.args):
+                return False
+            todo += zip(p.args, t.args)
+        elif p != t:
+            return False
+    return True
 
 
 def gen_equation_columns(

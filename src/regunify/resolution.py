@@ -24,6 +24,26 @@ derivation so far has renamed.  A goal's variables not met before (the
 query's, and those only a clause body held) get their generic type once per
 goal, and each renamed clause head adds its own variables.
 
+A clause try's type phase depends only on the clause and on the types of
+the goal's arguments, so the search keeps a memo of type phases for one
+`resolve` call.  Its key is the clause (a ground fact whose arguments have
+closed types by its functor, those types and the fresh names typing them
+draws; any other clause by identity) and the goal's argument types, their
+type variables numbered in order of first occurrence.  A variable's type
+is the one the context gives it, a constant's its scheme, and a ground
+compound's its closed principal type (`constraints.ClosedTypes`), read once
+per node for the whole search; an argument without a closed type, such as
+`[]`, gives no key, and the try runs as it would without a memo.  A try the
+memo lacks runs `unify_args` and `solve_columns`, and stores its type phase
+only where that does not depend on where the fresh-name counter stood (see
+`_Search.unify`).  A try it holds moves the fresh-name counter past the
+names the walk would have drawn, solves the term constraints alone, and
+rebuilds the types of the goal's variables and the head's from the stored
+ones.  Every try is still made and noted, in program order, and every
+`steps` count, branch note, binding, type and fresh name is the one the
+walk gives.  So `app` types its ground list once instead of at every step,
+and a scan of ground facts types one fact per goal and clause key.
+
 A goal `t1 = t2` is solved by typed unification directly instead of clause
 search.  `is` and other unknown predicates have no special meaning: they
 simply find no matching clauses.
@@ -35,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .constraints import (
+    ClosedTypes,
     Context,
     FreshSupply,
     gen_columns,
@@ -45,13 +66,17 @@ from .solver import Solved, SolveFalse, SolveWrong, columns, solve_columns
 from .syntax import (
     Compound,
     Const,
+    CtorApp,
     FuncType,
     Subst,
+    SymApp,
     Term,
+    TVar,
     TypeExpr,
     Var,
     apply_subst,
     apply_type_subst,
+    free_type_vars,
     free_vars,
 )
 from .typedefs import SignatureEnv, TypeDefSet, derive_signatures, instantiate
@@ -161,6 +186,10 @@ class _Search:
         self.fresh = FreshSupply()
         self.report = ResolveReport(outcome=NoUnknown())
         self.budget_exceeded = False
+        # the memo of type phases: goal key -> clause key -> entry (see unify)
+        self.memo: dict[tuple, dict] = {}
+        self.clause_keys: dict = {}  # id of a clause -> its key
+        self.closed = ClosedTypes(self.sig)
 
     def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> tuple[tuple, tuple]:
         """Argument-wise typed unification of a goal with a clause head, as
@@ -225,6 +254,9 @@ class _Search:
         # the goal's variables keep the types the derivation gave them; one
         # not met before gets its generic type
         goal_ctx = generic_context((goal,), self.fresh) | var_types
+        memo = None
+        if clauses[0] is not None and type(goal) is Compound:
+            memo = self.goal_key(goal, goal_ctx)
         for clause in clauses:
             if self.report.steps >= self.budget.max_steps:
                 self.budget_exceeded = True
@@ -235,15 +267,16 @@ class _Search:
                 left, right = goal.args
                 types = columns(*gen_equation_columns(ctx, self.sig, left, right, self.fresh))
                 result = solve_columns(types, columns([left], [right])).result
+                verdict = _VERDICT[type(result)]
             else:
                 renamed = rename_clause(clause, self.fresh)
                 against, body, via = renamed.head, renamed.body, "clause"
                 if isinstance(goal, Const):
-                    ctx, result = goal_ctx, Solved({}, {})
+                    ctx, result, verdict = goal_ctx, Solved({}, {}), "solved"
                 else:
-                    ctx = goal_ctx | generic_context((renamed.head,), self.fresh)
-                    result = solve_columns(*self.unify_args(ctx, goal, renamed.head)).result
-            verdict = _VERDICT[type(result)]
+                    head_ctx = generic_context((renamed.head,), self.fresh)
+                    ctx = goal_ctx | head_ctx
+                    verdict, result = self.unify(ctx, goal, renamed.head, head_ctx, clause, memo)
             notes.append(BranchNote(depth, goal, against, verdict, final, via))
             if verdict == "solved":
                 subst, mu = result.subst, result.type_subst
@@ -257,6 +290,111 @@ class _Search:
                         if name in answer or name not in subst
                     },
                 )
+
+    # --- the memo of type phases -----------------------------------------------------
+
+    def goal_key(self, goal: Compound, ctx: Context):
+        """The memo entries of the goal's argument types, the goal's type
+        variables in the order the key numbers them, and the names typing
+        its arguments draws; None if an argument that is not a variable has
+        no closed type.
+        """
+        key: list = []
+        names: dict[str, int] = {}
+        draws = 0
+        for arg in goal.args:
+            if type(arg) is Var:
+                key.append(_type_key(ctx[arg.name], names))
+                continue
+            got = self.closed.of(arg)
+            if got is None:
+                return None
+            key.append(id(got[0]))  # each closed type is one object for the whole search
+            draws += got[1]
+        return self.memo.setdefault(tuple(key), {}), list(names), draws
+
+    def clause_key(self, clause: Clause):
+        """A ground fact whose arguments all have closed types shares its key
+        with every fact of the same functor, types and draws; any other
+        clause is its own.
+        """
+        key = self.clause_keys.get(id(clause))
+        if key is None:
+            key = id(clause)
+            head = clause.head
+            if not clause.body and type(head) is Compound:
+                types = [self.closed.of(arg) for arg in head.args]
+                if None not in types:
+                    key = (head.functor, *[id(ty) for ty, _n in types], sum(n for _ty, n in types))
+            self.clause_keys[id(clause)] = key
+        return key
+
+    def unify(self, ctx: Context, goal: Compound, head: Compound, head_ctx: Context, clause, memo):
+        """The verdict of a clause try and, when solved, its result.
+
+        Without a memo (`goal_key`) this is `unify_args` and `solve_columns`.
+        With one, a miss does the same and stores its type phase when that
+        does not depend on where the fresh-name counter stood: wrong, or a
+        type unifier that maps the goal's type variables and the head's
+        variables to types made of the goal's type variables alone.  A hit
+        skips the names the miss's walk would draw, solves the term
+        constraints alone, and renames the stored types to this goal's and
+        this renamed head's variables.
+        """
+        if memo is None:
+            result = solve_columns(*self.unify_args(ctx, goal, head)).result
+            return _VERDICT[type(result)], result
+        entries, names, goal_draws = memo
+        heads = [ty.name for ty in head_ctx.values()]  # the head's variables' types
+        key = self.clause_key(clause)
+        entry = entries.get(key)
+        if entry is not None:
+            draws, stored = entry
+            self.fresh.skip(goal_draws + draws)
+            if stored is None:
+                return "wrong", None
+            result = solve_columns(columns([], []), columns(list(goal.args), list(head.args))).result
+            if type(result) is SolveFalse:
+                return "false", result
+            old, types, moves = stored
+            rename = {a: TVar(b) for a, b in zip(old, names) if a != b} if moves else None
+            mu = {
+                name: apply_type_subst(rename, ty) if rename else ty
+                for name, ty in zip(names + heads, types)
+                if ty is not None
+            }
+            return "solved", Solved(result.subst, mu)
+        before = self.fresh.drawn
+        result = solve_columns(*self.unify_args(ctx, goal, head)).result
+        verdict = _VERDICT[type(result)]
+        draws = self.fresh.drawn - before - goal_draws
+        if verdict == "wrong":
+            entries[key] = (draws, None)
+        else:
+            types = [result.type_subst.get(name) for name in names + heads]
+            seen = {v for ty in types if ty is not None for v in free_type_vars(ty)}
+            if seen <= set(names):
+                entries[key] = (draws, (names, types, bool(seen)))
+        return verdict, result
+
+
+def _type_key(ty: TypeExpr, names: dict[str, int]) -> tuple:
+    """`ty` as a flat preorder of its nodes, each type variable numbered in
+    order of first occurrence over the calls that share `names`.
+    """
+    out: list = []
+    todo = [ty]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is TVar:
+            out.append(names.setdefault(node.name, len(names)))
+        elif kind is SymApp or kind is CtorApp:
+            out += (kind, node.symbol if kind is SymApp else node.ctor, len(node.args))
+            todo += reversed(node.args)
+        else:  # base types and bool
+            out.append(node)
+    return tuple(out)
 
 
 def resolve(

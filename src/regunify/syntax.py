@@ -12,6 +12,7 @@ reports a position from its tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Union
 
 
@@ -198,13 +199,45 @@ TypeSubst = dict[str, TypeExpr]
 
 
 def apply_subst(subst: Subst, term: Term) -> Term:
-    """Replace every bound variable in `term`; unbound variables stay."""
+    """Replace every bound variable in `term`; unbound variables stay.
+
+    Iterative, so a term of any depth costs no Python stack.  A compound
+    under which no variable is bound is returned as it is, so what the
+    substitution leaves alone keeps its identity, and a compound shared by
+    several parents is rebuilt once: `done` maps the id of each compound
+    closed so far to its image, and a compound closes once its compound
+    arguments have.
+    """
     kind = type(term)
     if kind is Var:
         return subst.get(term.name, term)
-    if kind is Const:
+    if kind is Const or not subst:
         return term
-    return Compound(term.functor, tuple([apply_subst(subst, a) for a in term.args]))
+    done: dict[int, Term] = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:  # a shared argument, queued twice
+            stack.pop()
+            continue
+        new = []
+        waiting = False
+        for arg in node.args:
+            kind = type(arg)
+            if kind is Var:
+                new.append(subst.get(arg.name, arg))
+            elif kind is Const:
+                new.append(arg)
+            elif id(arg) in done:
+                new.append(done[id(arg)])
+            else:
+                stack.append(arg)
+                waiting = True
+        if waiting:
+            continue
+        stack.pop()
+        done[id(node)] = node if all(map(is_, new, node.args)) else Compound(node.functor, tuple(new))
+    return done[id(term)]
 
 
 def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:

@@ -211,6 +211,22 @@ def test_run_fresh_names_golden(tmp_path, capsys):
     assert (code, doc["steps"], doc["bindings"]) == (0, 5, {"Y": "$L_51", "R": "[1, 2 | $L_51]"})
 
 
+def test_run_corpus_prints_what_it_printed_before_the_memo(capsys, monkeypatch):
+    # `run`, `run --json` and `run --trace` over the programs in
+    # tests/data/run: facts scanned many times, open and closed argument
+    # types, overrides, every verdict and a budget.  The outputs were
+    # recorded before resolution replayed clause tries from its memo of type
+    # phases, so steps, notes, bindings, types and fresh names must be
+    # byte-identical to a search that types every try.
+    root = Path(__file__).parent.parent
+    corpus = json.loads((root / "tests/data/run/corpus.json").read_text(encoding="utf-8"))
+    assert len(corpus) == 102
+    monkeypatch.chdir(root)
+    for entry in corpus:
+        code, out, err = cli(capsys, *entry["argv"])
+        assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
 def test_run_budget(tmp_path, capsys):
     p = tmp_path / "loop.pl"
     p.write_text("p :- p.\n")
@@ -424,6 +440,17 @@ def test_fifteen_hundred_element_lists_answer(capsys):
     code, out, err = cli(capsys, "infer", ints)
     assert (code, err) == (0, "")
     assert out.splitlines()[1:] == ["context: {}", "type: list(int)"]
+
+
+def test_long_later_goal_answers(tmp_path, capsys):
+    # the first goal's unifier is applied to the second, a 1500-element list,
+    # without a Python frame per element
+    p = tmp_path / "app.pl"
+    p.write_text("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
+    ints = ", ".join(str(i) for i in range(1500))
+    code, out, err = cli(capsys, "run", str(p), "-q", f"?- X = 1, Y = [X, {ints}].")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"yes {{X = 1, Y = [1, {ints}]}}", "types: {X : int, Y : list(int)}"]
 
 
 def test_oversized_inputs_never_exit_false(capsys):

@@ -43,6 +43,34 @@ def test_apply_subst_simultaneous():
     assert got == Compound("g", (Compound("f", (Var("Y"),)), mk_atom("a")))
 
 
+def test_apply_subst_keeps_what_it_leaves_alone():
+    # 10**4 elements, past the interpreter's recursion limit: the bound head
+    # is replaced, and the tail, under which nothing is bound, is the same
+    # object afterwards
+    tail = mk_list([mk_int(i) for i in range(10_000)])
+    got = apply_subst({"X": mk_int(1), "Y": mk_atom("a")}, cons(Var("X"), tail))
+    assert got.args[0] == mk_int(1) and got.args[1] is tail
+    t = cons(Var("Z"), tail)
+    assert apply_subst({"X": mk_int(1)}, t) is t
+    deep = mk_int(0)
+    for _ in range(10_000):
+        deep = Compound("f", (deep, Var("X")))
+    got = apply_subst({"X": mk_atom("a")}, deep)
+    for _ in range(10_000):  # compared level by level: == would recurse
+        assert got.functor == "f" and got.args[1] == mk_atom("a")
+        got = got.args[0]
+    assert got == mk_int(0)
+
+
+def test_apply_subst_rebuilds_a_shared_subterm_once():
+    t = Compound("h", (Var("X"), Var("Y")))
+    for _ in range(40):
+        t = Compound("g", (t, t))
+    got = apply_subst({"X": mk_int(1)}, t)
+    assert got.args[0] is got.args[1]
+    assert free_vars(got) == ["Y"]
+
+
 def test_apply_type_subst_example():
     assert apply_type_subst({"B": INT}, SymApp("list", (TVar("B"),))) == SymApp(
         "list", (INT,)
