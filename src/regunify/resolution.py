@@ -22,7 +22,10 @@ for good, so the context passed on drops it: like a WAM's environment
 trimming, a step then costs what its live variables cost, not what the whole
 derivation so far has renamed.  A goal's variables not met before (the
 query's, and those only a clause body held) get their generic type once per
-goal, and each renamed clause head adds its own variables.
+goal, and each renamed clause head adds its own variables.  Only the goal's
+arguments without a closed type (see below) are walked for its variables:
+a closed type proves its argument ground, so `app`'s goal context costs
+its variables, not its list.
 
 A clause try's type phase depends only on the clause and on the types of
 the goal's arguments, so the search keeps a memo of type phases for one
@@ -37,12 +40,24 @@ per node for the whole search; an argument without a closed type, such as
 memo lacks runs `unify_args` and `solve_columns`, and stores its type phase
 only where that does not depend on where the fresh-name counter stood (see
 `_Search.unify`).  A try it holds moves the fresh-name counter past the
-names the walk would have drawn, solves the term constraints alone, and
-rebuilds the types of the goal's variables and the head's from the stored
-ones.  Every try is still made and noted, in program order, and every
-`steps` count, branch note, binding, type and fresh name is the one the
-walk gives.  So `app` types its ground list once instead of at every step,
-and a scan of ground facts types one fact per goal and clause key.
+names the walk would have drawn, solves the term constraints alone (given
+no type constraints, the solver builds no type phase), and rebuilds the
+types of the goal's variables and the head's from the stored ones.  Every
+try is still made and noted, in program order, and every `steps` count,
+branch note, binding, type and fresh name is the one the walk gives.  So
+`app` types its ground list once instead of at every step, and a scan of
+ground facts types one fact per goal and clause key.
+
+Beyond its type phase, a try pays for what it changes, not for the
+derivation around it.  Each clause's template, its variable names in
+first-occurrence order and how many its head holds, is read once, when the
+program is indexed (`Clause.template`); a try renames from it, drawing the
+fresh names a walk would, and types the renamed head's variables from it,
+so a ground clause is its own renaming, with an empty head context, at no
+walk.  A state does not carry the answer either: it links its step's term
+unifier to its parent's in a trail, and the query's variables are resolved
+through the trail once, at the answer (`_compose`), with a stack of its
+own, where composing the answer at every step re-walked it.
 
 A goal `t1 = t2` is solved by typed unification directly instead of clause
 search.  `is` and other unknown predicates have no special meaning: they
@@ -52,6 +67,8 @@ simply find no matching clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import is_
 from typing import Optional, Union
 
 from .constraints import (
@@ -60,7 +77,6 @@ from .constraints import (
     FreshSupply,
     gen_columns,
     gen_equation_columns,
-    generic_context,
 )
 from .solver import Solved, SolveFalse, SolveWrong, columns, solve_columns
 from .syntax import (
@@ -86,6 +102,18 @@ from .typedefs import SignatureEnv, TypeDefSet, derive_signatures, instantiate
 class Clause:
     head: Term
     body: tuple[Term, ...] = ()
+
+    @cached_property
+    def template(self) -> tuple[tuple[str, ...], int]:
+        """The clause's variable names in first-occurrence order, the head's
+        first, and how many of them its head holds: what a renaming draws
+        from, read once per clause instead of walked at every renaming.
+        """
+        head = free_vars(self.head)
+        names = dict.fromkeys(head)
+        for goal in self.body:
+            names.update(dict.fromkeys(free_vars(goal)))
+        return tuple(names), len(head)
 
 
 @dataclass(frozen=True)
@@ -142,20 +170,22 @@ class ResolveReport:
 
 
 def rename_clause(clause: Clause, fresh: FreshSupply) -> Clause:
-    """Copy with every variable renamed through the fresh supply; a clause
-    without variables draws no names and is returned as it is.
+    """Copy with every variable renamed through the fresh supply, in the
+    order of the clause's template; a clause without variables draws no
+    names and is returned as it is.  The copy's template is the renamed
+    names, so it needs no walk either.
     """
-    mapping: Subst = {}
-    for t in (clause.head, *clause.body):
-        for name in free_vars(t):
-            if name not in mapping:
-                mapping[name] = fresh.var(f"{name}_")
-    if not mapping:  # a ground clause is its own renaming
+    names, in_head = clause.template
+    if not names:  # a ground clause is its own renaming
         return clause
-    return Clause(
+    mapping: Subst = {name: fresh.var(f"{name}_") for name in names}
+    renamed = Clause(
         apply_subst(mapping, clause.head),
         tuple(apply_subst(mapping, g) for g in clause.body),
     )
+    # what the cached property would compute, set without the walk
+    renamed.__dict__["template"] = tuple(v.name for v in mapping.values()), in_head
+    return renamed
 
 
 def _callable_key(t: Term):
@@ -167,8 +197,57 @@ def _callable_key(t: Term):
     return None
 
 
-def _compose(answer: Subst, step: Subst) -> Subst:
-    return {name: apply_subst(step, t) for name, t in answer.items()}
+def _compose(trail, names) -> Subst:
+    """The bindings of the query variables `names` that the derivation
+    whose step unifiers `trail` links, last first, composes, in `names`'
+    order; a name no step bound is left out.
+
+    No step binds a variable an earlier step bound, since that variable has
+    left every goal, and the renamed clauses' are fresh; so the steps'
+    unifiers together are one triangular store, and the composition binds
+    each name to what it stands for under the store.  That is read once,
+    with a stack of its own, and `done` maps each bound name and the id of
+    each compound resolved so far to its image, so a node is rebuilt once
+    and one under which nothing is bound is kept as it is.
+    """
+    store: Subst = {}
+    while trail is not None:
+        step, trail = trail
+        store.update(step)
+    done: dict = {}
+    stack = [name for name in names if name in store]
+    while stack:
+        top = stack[-1]
+        bound = type(top) is str  # a bound variable's name, else a compound
+        key = top if bound else id(top)
+        if key in done:  # queued twice
+            stack.pop()
+            continue
+        new = []
+        waiting = False
+        for kid in (store[top],) if bound else top.args:
+            kind = type(kid)
+            if kind is Var and kid.name in store:
+                kid_key = kid.name
+            elif kind is Compound:
+                kid_key = id(kid)
+            else:
+                new.append(kid)
+                continue
+            got = done.get(kid_key)
+            if got is None:
+                stack.append(kid.name if kind is Var else kid)
+                waiting = True
+            else:
+                new.append(got)
+        if waiting:
+            continue
+        stack.pop()
+        if bound:
+            done[key] = new[0]
+        else:
+            done[key] = top if all(map(is_, new, top.args)) else Compound(top.functor, tuple(new))
+    return {name: done[name] for name in names if name in store}
 
 
 _VERDICT = {Solved: "solved", SolveFalse: "false", SolveWrong: "wrong"}
@@ -180,6 +259,7 @@ class _Search:
     def __init__(self, program, defs: TypeDefSet, overrides, budget: ResolutionBudget):
         self.index: dict[tuple, list[Clause]] = {}  # (name, arity) -> clauses, in order
         for clause in program:
+            clause.template  # read here, once, for every try's renaming
             self.index.setdefault(_callable_key(clause.head), []).append(clause)
         self.sig = derive_signatures(defs, overrides)
         self.budget = budget
@@ -190,6 +270,7 @@ class _Search:
         self.memo: dict[tuple, dict] = {}
         self.clause_keys: dict = {}  # id of a clause -> its key
         self.closed = ClosedTypes(self.sig)
+        self.query = {}  # the query's variables, whose types every context keeps
 
     def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> tuple[tuple, tuple]:
         """Argument-wise typed unification of a goal with a clause head, as
@@ -218,27 +299,56 @@ class _Search:
         rhs += head_ft.domain
         return columns(lhs, rhs), columns(list(goal.args), list(head.args))
 
-    def run(self, goals, answer: Subst) -> Optional[tuple[Subst, Context]]:
-        """The first answer and its variable types, or None once no choice is left."""
-        stack = [iter([(goals, answer, {})])]  # the query: the one state at depth 0
+    def run(self, goals, query) -> Optional[tuple[Subst, Context]]:
+        """The first answer's bindings of the query's variables `query` (their
+        names, in order) and its context, or None once no choice is left.
+
+        A state is its goals, its trail and its context.  The trail links
+        each solved step's term unifier to its parent state's trail, so a
+        step costs nothing for the bindings before it, and the bindings are
+        composed once, for the answer (`_compose`).
+        """
+        self.query = query
+        stack = [iter([(goals, None, {})])]  # the query: the one state at depth 0
         while stack:
             state = next(stack[-1], None)
             if state is None:
                 stack.pop()
                 continue
-            goals, answer, var_types = state
+            goals, trail, var_types = state
             depth = len(stack) - 1
             if not goals:
-                return answer, var_types
+                return _compose(trail, query), var_types
             if depth >= self.budget.max_depth:
                 self.budget_exceeded = True
             else:
-                stack.append(self.tries(goals, answer, var_types, depth))
+                stack.append(self.tries(goals, trail, var_types, depth))
         return None
 
-    def tries(self, goals, answer: Subst, var_types: Context, depth: int):
+    def goal_context(self, goal: Term, var_types: Context) -> Context:
+        """The goal's variables' types: the derivation's, and for one not
+        met before its generic type, in first-occurrence order.  Only the
+        arguments without a closed type are walked, since a closed type
+        (`ClosedTypes.of`, read once per node) proves its argument ground;
+        so a goal costs its variables, not its ground arguments.
+        """
+        ctx: Context = {}
+        for arg in goal.args if type(goal) is Compound else ():
+            kind = type(arg)
+            if kind is Var:
+                names = (arg.name,)
+            elif kind is Compound and self.closed.of(arg) is None:
+                names = free_vars(arg)
+            else:
+                continue
+            for name in names:
+                if name not in ctx:
+                    ctx[name] = FreshSupply.tvar_for(name)
+        return ctx | var_types
+
+    def tries(self, goals, trail, var_types: Context, depth: int):
         """Try the first goal against `=` or its clauses, yielding the state after each solve."""
-        notes = self.report.branches
+        notes, query = self.report.branches, self.query
         goal, rest = goals[0], goals[1:]
         final = not rest
         if isinstance(goal, Compound) and goal.functor == "=" and goal.arity == 2:
@@ -253,7 +363,7 @@ class _Search:
                 return
         # the goal's variables keep the types the derivation gave them; one
         # not met before gets its generic type
-        goal_ctx = generic_context((goal,), self.fresh) | var_types
+        goal_ctx = self.goal_context(goal, var_types)
         memo = None
         if clauses[0] is not None and type(goal) is Compound:
             memo = self.goal_key(goal, goal_ctx)
@@ -274,7 +384,8 @@ class _Search:
                 if isinstance(goal, Const):
                     ctx, result, verdict = goal_ctx, Solved({}, {}), "solved"
                 else:
-                    head_ctx = generic_context((renamed.head,), self.fresh)
+                    names, in_head = renamed.template
+                    head_ctx = {name: FreshSupply.tvar_for(name) for name in names[:in_head]}
                     ctx = goal_ctx | head_ctx
                     verdict, result = self.unify(ctx, goal, renamed.head, head_ctx, clause, memo)
             notes.append(BranchNote(depth, goal, against, verdict, final, via))
@@ -282,12 +393,12 @@ class _Search:
                 subst, mu = result.subst, result.type_subst
                 yield (
                     tuple(apply_subst(subst, g) for g in (*body, *rest)),
-                    _compose(answer, subst),
+                    (subst, trail) if subst else trail,
                     # a variable this step bound has left every goal for good
                     {
                         name: apply_type_subst(mu, ty)
                         for name, ty in ctx.items()
-                        if name in answer or name not in subst
+                        if name in query or name not in subst
                     },
                 )
 
@@ -410,15 +521,12 @@ def resolve(
     search = _Search(program, defs, overrides, budget)
     query = tuple(query)
     query_vars = dict.fromkeys(name for g in query for name in free_vars(g))
-    found = search.run(query, {name: Var(name) for name in query_vars})
+    found = search.run(query, query_vars)
     notes = search.report.branches
     if found is not None:
-        answer, var_types = found
-        # a bound query variable leaves every goal, and solved form never binds
-        # a variable to a term holding it, so an entry still its variable is unbound
+        bindings, var_types = found
         search.report.outcome = Yes(
-            {name: t for name, t in answer.items() if t != Var(name)},
-            {name: var_types[name] for name in query_vars if name in var_types},
+            bindings, {name: var_types[name] for name in query_vars if name in var_types}
         )
     elif any(n.verdict == "wrong" for n in notes):
         search.report.outcome = NoWrong()

@@ -704,9 +704,13 @@ def solve_columns(
     Each step costs what it touches, not the size of the whole state, and
     eliminate binds instead of substituting; see _Phase.  The term phase is
     set up only once the type rules reach their fixpoint, so a wrong result
-    never builds it.  The unifiers, the witness and each traced state are
-    built from the store with one memo per state, so a subterm that many
-    bindings share is one object in all of them.
+    never builds it, and an empty set builds no phase at all: its unifier
+    is {}, and a traced state shows it as no constraints, as the rules'
+    states do.  So a caller that passes no type constraints, as a replayed
+    clause try does, or no term constraints, as `principal_typing` does,
+    pays for one phase only.  The unifiers, the witness and each traced
+    state are built from the store with one memo per state, so a subterm
+    that many bindings share is one object in all of them.
     """
     # The default budget needs the size of the whole state.  Every constraint
     # has at least two nodes, so until the steps pass the bound that gives,
@@ -718,22 +722,23 @@ def solve_columns(
     exact = max_steps is not None
     if not exact:
         max_steps = max(1, 2 * (len(terms[0]) + len(types[0]))) ** 2 * BUDGET_FACTOR
-    term_columns = terms
     if trace:  # until the term phase, every state shows its constraints as given
         made = terms[3]
         for cid, (lhs, rhs, c) in enumerate(zip(terms[0], terms[1], made)):
             made[cid] = c or TermConstraint(lhs, rhs)
         given = tuple(made)
-    types = phase = _Phase(types, _TYPES, trace)
-    terms = None  # set up once the type rules reach their fixpoint
+    type_phase = _Phase(types, _TYPES, trace) if types[0] else None
+    term_phase = None  # set up once the type rules reach their fixpoint
+    phase, family = type_phase, _TYPES
     steps = 0
     trace_steps: list[TraceStep] = []
     while True:
-        redex = phase.redex()
+        redex = None if phase is None else phase.redex()
         if redex is None:
-            if terms is not None:
+            if family is _TERMS:
                 break
-            terms = phase = _Phase(term_columns, _TERMS, trace)
+            family = _TERMS
+            phase = term_phase = _Phase(terms, _TERMS, trace) if terms[0] else None
             continue
         steps += 1
         if steps > max_steps and not exact:
@@ -743,24 +748,25 @@ def solve_columns(
         rule, cid = redex
         if rule == _CLASH or rule == _OCCURS:
             witness = phase.constraint(cid)
-            if terms is None:
+            if family is _TYPES:
                 result = SolveWrong(witness=witness)
             else:
-                result = SolveFalse(type_subst=types.unifier(), witness=witness)
+                mu = type_phase.unifier() if type_phase else {}
+                result = SolveFalse(type_subst=mu, witness=witness)
             return SolveRun(result, steps, tuple(trace_steps))
         if trace:
             target = phase.constraint(cid)
         phase.fire(rule, cid)
         if trace:
-            term_cs = given if terms is None else terms.ordered()
+            term_cs = given if term_phase is None else term_phase.ordered()
+            type_cs = type_phase.ordered() if type_phase else ()
             trace_steps.append(
-                TraceStep(
-                    rule + phase.family.offset,
-                    target,
-                    ConstraintState(term_cs, types.ordered()),
-                )
+                TraceStep(rule + family.offset, target, ConstraintState(term_cs, type_cs))
             )
-    result = Solved(subst=terms.unifier(), type_subst=types.unifier())
+    result = Solved(
+        subst=term_phase.unifier() if term_phase else {},
+        type_subst=type_phase.unifier() if type_phase else {},
+    )
     return SolveRun(result, steps, tuple(trace_steps))
 
 

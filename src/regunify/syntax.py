@@ -241,14 +241,64 @@ def apply_subst(subst: Subst, term: Term) -> Term:
 
 
 def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:
+    """Replace every bound type variable in `ty`; unbound ones stay.
+
+    Written as `apply_subst` is: iterative, so a type of any depth costs no
+    Python stack; a node under which no variable is bound is returned as it
+    is; and a node shared by several parents is rebuilt once.
+    """
     kind = type(ty)
     if kind is TVar:
         return subst.get(ty.name, ty)
-    if kind is SymApp:
-        return SymApp(ty.symbol, tuple([apply_type_subst(subst, a) for a in ty.args]))
-    if kind is CtorApp:
-        return CtorApp(ty.ctor, tuple([apply_type_subst(subst, a) for a in ty.args]))
-    return ty  # base types and bool
+    if not subst or not getattr(ty, "args", None):
+        return ty  # base types, bool, a nullary application, or nothing bound
+    new = []
+    for arg in ty.args:  # most types are one application deep, read without the stack
+        kind = type(arg)
+        if kind is TVar:
+            new.append(subst.get(arg.name, arg))
+        elif getattr(arg, "args", None):
+            break
+        else:
+            new.append(arg)
+    else:
+        return _with_args(ty, new)
+    done: dict[int, TypeExpr] = {}
+    stack = [ty]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:  # a shared argument, queued twice
+            stack.pop()
+            continue
+        new = []
+        waiting = False
+        for arg in node.args:
+            kind = type(arg)
+            if kind is TVar:
+                new.append(subst.get(arg.name, arg))
+            elif not getattr(arg, "args", None):
+                new.append(arg)
+            elif id(arg) in done:
+                new.append(done[id(arg)])
+            else:
+                stack.append(arg)
+                waiting = True
+        if waiting:
+            continue
+        stack.pop()
+        done[id(node)] = _with_args(node, new)
+    return done[id(ty)]
+
+
+def _with_args(node: TypeExpr, args: list) -> TypeExpr:
+    """The application `node` with arguments `args`: `node` itself where
+    each is the argument it had.
+    """
+    if all(map(is_, args, node.args)):
+        return node
+    if type(node) is SymApp:
+        return SymApp(node.symbol, tuple(args))
+    return CtorApp(node.ctor, tuple(args))
 
 
 def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:

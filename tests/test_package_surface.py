@@ -80,7 +80,6 @@ RECURSIVE = {
     "parser._resolve_type",
     "pretty.pp_term",
     "pretty.pp_type",
-    "syntax.apply_type_subst",
     "typedefs._check_summand_shape",
     "typedefs._check_symapp_arities",
 }

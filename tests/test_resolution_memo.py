@@ -6,7 +6,10 @@ module docstring).  A replay must leave no trace: every outcome, raw fresh
 name, step count, branch note and the final position of the fresh-name
 supply must be what the reference search, which types every try from
 scratch, gives.  The first tests pin the cases a memo could merge wrongly;
-the later ones check that the fast path is taken at all.
+the later ones check that the fast paths are taken at all: the memo's, and
+those that keep a try's cost to what it changes (clause templates, the
+answer trail, goal contexts that skip ground arguments, and no solver
+phase for an empty constraint set).
 """
 
 import pytest
@@ -39,6 +42,7 @@ from regunify import (
     resolve,
     validate,
 )
+from regunify import constraints, resolution, solver
 from regunify.constraints import ClosedTypes, GenericContext, gen_columns
 from regunify.resolution import _Search
 
@@ -66,6 +70,33 @@ def _counting(search):
 
     search.unify_args = unify_args
     return goals
+
+
+def _walks(monkeypatch):
+    """The nodes `free_vars` walks from the search's modules from now on."""
+    walked = []
+    walk = constraints.free_vars
+
+    def free_vars(node):
+        walked.append(node)
+        return walk(node)
+
+    monkeypatch.setattr(resolution, "free_vars", free_vars)
+    monkeypatch.setattr(constraints, "free_vars", free_vars)
+    return walked
+
+
+def _phases(monkeypatch):
+    """The solver phases built from now on, one entry each."""
+    built = []
+
+    class Counted(solver._Phase):
+        def __init__(self, columns, family, trace=False):
+            built.append(family)
+            super().__init__(columns, family, trace)
+
+    monkeypatch.setattr(solver, "_Phase", Counted)
+    return built
 
 
 def _query_vars(query):
@@ -217,7 +248,9 @@ def test_matches_reference_on_fact_dense_programs():
     """Every case agrees, and the memo replays tries in many of them."""
     replayed = []
 
-    @settings(max_examples=300, deadline=None)
+    # derandomized: the share of cases that replay is a statistic of the
+    # draw, and random draws put it below a tenth now and then
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         case=_programs(),
         overrides=st.sampled_from(_OVERRIDES),
@@ -256,7 +289,28 @@ def test_a_path_scan_replays_its_fact_tries():
     assert len(goals) <= 10
 
 
-def test_app_types_its_ground_list_once():
+def test_a_fact_scan_builds_one_phase_per_replayed_try_and_walks_no_clause(monkeypatch):
+    # the path scan above: a replayed try solves its term constraints alone,
+    # in one phase, and no try walks a clause to rename it or to type its
+    # head, since each clause's template is read when the program is indexed
+    edges = [(f"n{i}", f"n{j}") for i in range(30) for j in (i + 1, i + 2) if j < 30]
+    text = "".join(f"edge({a}, {b}).\n" for a, b in edges)
+    text += "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    program, query = parse_program(text), parse_query("?- path(n0, nowhere).")
+    search = _search(program, max_steps=2_000)
+    goals = _counting(search)
+    walked, built = _walks(monkeypatch), _phases(monkeypatch)
+    assert search.run(query, {}) is None
+    tries = len(search.report.branches)
+    assert tries == 2_000 and {b.verdict for b in search.report.branches} == {"solved", "false"}
+    # a replay builds the term phase; each of the few walks (no try is
+    # wrong) builds the type phase and the term phase
+    assert len(built) == (tries - len(goals)) + 2 * len(goals)
+    parts = {id(t) for clause in program for t in (clause.head, *clause.body)}
+    assert [t for t in walked if id(t) in parts] == []
+
+
+def test_app_types_its_ground_list_once(monkeypatch):
     program = parse_program("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
     items = [mk_int(i) for i in range(60)]
     query = (Compound("app", (mk_list(items), mk_list([mk_int(9)]), Var("R"))),)
@@ -264,9 +318,30 @@ def test_app_types_its_ground_list_once():
     assert outcome == ("yes", [("R", mk_list(items + [mk_int(9)]))], [("R", INT_LIST)])
     search = _search(program)
     goals = _counting(search)
+    walked = _walks(monkeypatch)
     assert search.run(query, {"R": Var("R")}) is not None
     assert len(search.report.branches) == 2 * 60 + 1
     assert len(goals) <= 6  # the first steps, until the goal's types repeat
+    # a goal's list argument has a closed type, which proves it ground, so
+    # no goal context walks it, and the clauses' templates need no walk
+    assert walked == []
+
+
+def test_app_answers_over_5000_elements():
+    # 10 001 steps, and an answer list as deep: the steps link their
+    # unifiers in a trail, composed once, at the answer, with a stack of
+    # its own
+    program = parse_program("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
+    query = (Compound("app", (mk_list([mk_int(i) for i in range(5_000)]), mk_list([mk_int(9)]), Var("R"))),)
+    report = resolve(program, query, DEFS, None, ResolutionBudget(max_steps=20_000, max_depth=10_000))
+    assert report.steps == 2 * 5_000 + 1
+    assert list(report.outcome.bindings) == ["R"]
+    assert report.outcome.var_types == {"R": INT_LIST}
+    items, rest = [], report.outcome.bindings["R"]
+    while rest != NIL:  # walked here: `==` on a 5 001-deep list recurses too far
+        items.append(rest.args[0])
+        rest = rest.args[1]
+    assert items == [mk_int(i) for i in [*range(5_000), 9]]
 
 
 # --- closed types -------------------------------------------------------------------

@@ -35,8 +35,10 @@ from regunify import (
     stratified_pairs,
     validate,
 )
+from regunify import solver
 from regunify.constraints import FreshSupply, generic_context
 from regunify.semantics import LiteralPool
+from regunify.solver import columns, solve_columns
 
 from reference_solver import reference_solve
 
@@ -44,8 +46,9 @@ DEFS = validate(())
 SIG = derive_signatures(DEFS)
 
 
-def assert_same(state, trace=True):
-    run = solve(state, trace=trace)
+def assert_same(state, trace=True, run=None):
+    """Hold `run`, by default `solve` of the state, to the reference."""
+    run = solve(state, trace=trace) if run is None else run
     ref = reference_solve(state, trace=trace)
     assert run.steps == ref.steps
     assert [(s.rule, s.target, s.state) for s in run.trace] == list(ref.trace)
@@ -161,6 +164,57 @@ def test_hand_built_states_match_reference(type_pairs, term_pairs):
     )
     assert_same(state)
     assert_same(state, trace=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_types, _types), max_size=6),
+    st.lists(st.tuples(_terms, _terms), max_size=4),
+)
+@example([], [])
+def test_an_empty_set_matches_reference(type_pairs, term_pairs):
+    # solve_columns builds no phase for an empty set: no type constraints,
+    # as a replayed clause try passes, or no term constraints, as
+    # principal_typing passes
+    for types, terms in (([], term_pairs), (type_pairs, [])):
+        state = ConstraintState(
+            terms=tuple(TermConstraint(a, b) for a, b in terms),
+            types=tuple(TypeConstraint(a, b) for a, b in types),
+        )
+        for trace in (True, False):
+            run = solve_columns(
+                columns([a for a, _ in types], [b for _, b in types]),
+                columns([a for a, _ in terms], [b for _, b in terms]),
+                trace,
+            )
+            assert_same(state, trace, run)
+
+
+def test_an_empty_set_builds_no_phase(monkeypatch):
+    built = []
+
+    class Counted(solver._Phase):
+        def __init__(self, columns, family, trace=False):
+            built.append(family.offset)
+            super().__init__(columns, family, trace)
+
+    monkeypatch.setattr(solver, "_Phase", Counted)
+    one = [(Var("X"), mk_int(1))]
+    for terms, types, phases in (
+        (one, [], [6]),
+        ([], [(TVar("A"), Base("int"))], [0]),
+        ([], [], []),
+        (one, [(TVar("A"), Base("int"))], [0, 6]),
+    ):
+        built.clear()
+        for trace in (True, False):
+            run = solve_columns(
+                columns([a for a, _ in types], [b for _, b in types]),
+                columns([a for a, _ in terms], [b for _, b in terms]),
+                trace,
+            )
+            assert isinstance(run.result, Solved)
+        assert built == phases * 2
 
 
 def _types(*pairs):

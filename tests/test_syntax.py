@@ -90,6 +90,29 @@ def test_apply_type_subst_structural():
     )
 
 
+def test_apply_type_subst_on_deep_types():
+    # 10**4 levels, past the interpreter's recursion limit: every level is
+    # rebuilt where a variable under it is bound, and a type under which
+    # nothing is bound is the same object afterwards
+    deep = TVar("A")
+    for _ in range(10_000):
+        deep = CtorApp("cons", (INT, SymApp("list", (deep,))))
+    got = apply_type_subst({"A": INT}, deep)
+    for _ in range(10_000):  # compared level by level: == would recurse
+        assert type(got) is CtorApp and got.args[0] is INT
+        got = got.args[1]
+        assert type(got) is SymApp and got.symbol == "list"
+        got = got.args[0]
+    assert got == INT
+    assert apply_type_subst({"B": INT}, deep) is deep
+    shared = TVar("A")
+    for _ in range(40):
+        shared = SymApp("pair", (shared, shared))
+    got = apply_type_subst({"A": INT}, shared)
+    assert got.args[0] is got.args[1]
+    assert free_type_vars(got) == []
+
+
 def test_free_vars():
     assert free_vars(cons(Var("X"), Var("Y"))) == ["X", "Y"]
     assert free_vars(mk_int(1)) == []
