@@ -27,6 +27,7 @@ from regunify import (
     SymApp,
     TVar,
     Var,
+    Yes,
     derive_signatures,
     free_type_vars,
     free_vars,
@@ -274,7 +275,7 @@ def test_matches_reference_on_fact_dense_programs():
 # --- the fast path is taken -----------------------------------------------------------
 
 
-def test_a_path_scan_replays_its_fact_tries():
+def test_a_path_scan_replays_its_fact_tries(monkeypatch):
     edges = [(f"n{i}", f"n{j}") for i in range(30) for j in (i + 1, i + 2) if j < 30]
     text = "".join(f"edge({a}, {b}).\n" for a, b in edges)
     text += "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
@@ -283,29 +284,17 @@ def test_a_path_scan_replays_its_fact_tries():
     assert (outcome, steps) == (("no_unknown", True), 2_000)
     search = _search(program, max_steps=2_000)
     goals = _counting(search)
+    walked, built = _walks(monkeypatch), _phases(monkeypatch)
     assert search.run(query, {}) is None
     # of 2 000 tries, one walk for the edge facts under each goal shape, and
     # one for each path clause under each
     assert len(goals) <= 10
-
-
-def test_a_fact_scan_builds_one_phase_per_replayed_try_and_walks_no_clause(monkeypatch):
-    # the path scan above: a replayed try solves its term constraints alone,
-    # in one phase, and no try walks a clause to rename it or to type its
-    # head, since each clause's template is read when the program is indexed
-    edges = [(f"n{i}", f"n{j}") for i in range(30) for j in (i + 1, i + 2) if j < 30]
-    text = "".join(f"edge({a}, {b}).\n" for a, b in edges)
-    text += "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n"
-    program, query = parse_program(text), parse_query("?- path(n0, nowhere).")
-    search = _search(program, max_steps=2_000)
-    goals = _counting(search)
-    walked, built = _walks(monkeypatch), _phases(monkeypatch)
-    assert search.run(query, {}) is None
-    tries = len(search.report.branches)
-    assert tries == 2_000 and {b.verdict for b in search.report.branches} == {"solved", "false"}
-    # a replay builds the term phase; each of the few walks (no try is
-    # wrong) builds the type phase and the term phase
-    assert len(built) == (tries - len(goals)) + 2 * len(goals)
+    # a replay solves its term constraints alone, in one phase; each walk
+    # (no try here is wrong) builds the type phase and the term phase
+    assert {b.verdict for b in search.report.branches} == {"solved", "false"}
+    assert len(built) == (2_000 - len(goals)) + 2 * len(goals)
+    # no try walks a clause to rename it or to type its head: each clause's
+    # template is read when the program is indexed
     parts = {id(t) for clause in program for t in (clause.head, *clause.body)}
     assert [t for t in walked if id(t) in parts] == []
 
@@ -332,9 +321,10 @@ def test_app_answers_over_5000_elements():
     # unifiers in a trail, composed once, at the answer, with a stack of
     # its own
     program = parse_program("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
-    query = (Compound("app", (mk_list([mk_int(i) for i in range(5_000)]), mk_list([mk_int(9)]), Var("R"))),)
+    given = mk_list([mk_int(i) for i in range(5_000)])
+    query = (Compound("app", (given, mk_list([mk_int(9)]), Var("R"))),)
     report = resolve(program, query, DEFS, None, ResolutionBudget(max_steps=20_000, max_depth=10_000))
-    assert report.steps == 2 * 5_000 + 1
+    assert isinstance(report.outcome, Yes) and report.steps == 2 * 5_000 + 1
     assert list(report.outcome.bindings) == ["R"]
     assert report.outcome.var_types == {"R": INT_LIST}
     items, rest = [], report.outcome.bindings["R"]
