@@ -50,11 +50,11 @@ ground facts types one fact per goal and clause key.
 
 Beyond its type phase, a try pays for what it changes, not for the
 derivation around it.  Each clause's template, its variable names in
-first-occurrence order and how many its head holds, is read once, when the
-program is indexed (`Clause.template`); a try renames from it, drawing the
-fresh names a walk would, and types the renamed head's variables from it,
-so a ground clause is its own renaming, with an empty head context, at no
-walk.  A state does not carry the answer either: it links its step's term
+first-occurrence order and how many its head holds, is read once, at the
+clause's first renaming (`Clause.template`); a try renames from it, drawing
+the fresh names a walk would, and types the renamed head's variables from
+the names the renaming drew, so a ground clause is its own renaming, with an
+empty head context, at no walk.  A state does not carry the answer either: it links its step's term
 unifier to its parent's in a trail, and the query's variables are resolved
 through the trail once, at the answer (`_compose`), with a stack of its
 own, where composing the answer at every step re-walked it.
@@ -172,20 +172,24 @@ class ResolveReport:
 def rename_clause(clause: Clause, fresh: FreshSupply) -> Clause:
     """Copy with every variable renamed through the fresh supply, in the
     order of the clause's template; a clause without variables draws no
-    names and is returned as it is.  The copy's template is the renamed
-    names, so it needs no walk either.
+    names and is returned as it is.
+    """
+    return _renaming(clause, fresh)[0]
+
+
+def _renaming(clause: Clause, fresh: FreshSupply) -> tuple[Clause, list[str]]:
+    """`rename_clause`'s copy, and the fresh names of its head's variables
+    in first-occurrence order, read from the renaming instead of a walk.
     """
     names, in_head = clause.template
     if not names:  # a ground clause is its own renaming
-        return clause
+        return clause, []
     mapping: Subst = {name: fresh.var(f"{name}_") for name in names}
     renamed = Clause(
         apply_subst(mapping, clause.head),
         tuple(apply_subst(mapping, g) for g in clause.body),
     )
-    # what the cached property would compute, set without the walk
-    renamed.__dict__["template"] = tuple(v.name for v in mapping.values()), in_head
-    return renamed
+    return renamed, [mapping[name].name for name in names[:in_head]]
 
 
 def _callable_key(t: Term):
@@ -259,7 +263,6 @@ class _Search:
     def __init__(self, program, defs: TypeDefSet, overrides, budget: ResolutionBudget):
         self.index: dict[tuple, list[Clause]] = {}  # (name, arity) -> clauses, in order
         for clause in program:
-            clause.template  # read here, once, for every try's renaming
             self.index.setdefault(_callable_key(clause.head), []).append(clause)
         self.sig = derive_signatures(defs, overrides)
         self.budget = budget
@@ -270,7 +273,6 @@ class _Search:
         self.memo: dict[tuple, dict] = {}
         self.clause_keys: dict = {}  # id of a clause -> its key
         self.closed = ClosedTypes(self.sig)
-        self.query = {}  # the query's variables, whose types every context keeps
 
     def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> tuple[tuple, tuple]:
         """Argument-wise typed unification of a goal with a clause head, as
@@ -308,7 +310,6 @@ class _Search:
         step costs nothing for the bindings before it, and the bindings are
         composed once, for the answer (`_compose`).
         """
-        self.query = query
         stack = [iter([(goals, None, {})])]  # the query: the one state at depth 0
         while stack:
             state = next(stack[-1], None)
@@ -322,7 +323,7 @@ class _Search:
             if depth >= self.budget.max_depth:
                 self.budget_exceeded = True
             else:
-                stack.append(self.tries(goals, trail, var_types, depth))
+                stack.append(self.tries(goals, trail, var_types, depth, query))
         return None
 
     def goal_context(self, goal: Term, var_types: Context) -> Context:
@@ -346,9 +347,12 @@ class _Search:
                     ctx[name] = FreshSupply.tvar_for(name)
         return ctx | var_types
 
-    def tries(self, goals, trail, var_types: Context, depth: int):
-        """Try the first goal against `=` or its clauses, yielding the state after each solve."""
-        notes, query = self.report.branches, self.query
+    def tries(self, goals, trail, var_types: Context, depth: int, query):
+        """Try the first goal against `=` or its clauses, yielding the state
+        after each solve; the query's variables `query` keep their types in
+        every state's context.
+        """
+        notes = self.report.branches
         goal, rest = goals[0], goals[1:]
         final = not rest
         if isinstance(goal, Compound) and goal.functor == "=" and goal.arity == 2:
@@ -379,13 +383,12 @@ class _Search:
                 result = solve_columns(types, columns([left], [right])).result
                 verdict = _VERDICT[type(result)]
             else:
-                renamed = rename_clause(clause, self.fresh)
+                renamed, head_names = _renaming(clause, self.fresh)
                 against, body, via = renamed.head, renamed.body, "clause"
                 if isinstance(goal, Const):
                     ctx, result, verdict = goal_ctx, Solved({}, {}), "solved"
                 else:
-                    names, in_head = renamed.template
-                    head_ctx = {name: FreshSupply.tvar_for(name) for name in names[:in_head]}
+                    head_ctx = {name: FreshSupply.tvar_for(name) for name in head_names}
                     ctx = goal_ctx | head_ctx
                     verdict, result = self.unify(ctx, goal, renamed.head, head_ctx, clause, memo)
             notes.append(BranchNote(depth, goal, against, verdict, final, via))

@@ -243,62 +243,48 @@ def apply_subst(subst: Subst, term: Term) -> Term:
 def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:
     """Replace every bound type variable in `ty`; unbound ones stay.
 
-    Written as `apply_subst` is: iterative, so a type of any depth costs no
-    Python stack; a node under which no variable is bound is returned as it
-    is; and a node shared by several parents is rebuilt once.
+    Iterative, so a type of any depth costs no Python stack: `nodes` holds
+    the applications entered and not yet closed, and `news` each one's
+    arguments' images so far, so each application is read once.  A node
+    under which no variable is bound is returned as it is, and a node shared
+    by several parents is rebuilt once: `done` maps the id of each node
+    closed so far to its image.
     """
     kind = type(ty)
     if kind is TVar:
         return subst.get(ty.name, ty)
     if not subst or not getattr(ty, "args", None):
         return ty  # base types, bool, a nullary application, or nothing bound
-    new = []
-    for arg in ty.args:  # most types are one application deep, read without the stack
-        kind = type(arg)
-        if kind is TVar:
-            new.append(subst.get(arg.name, arg))
-        elif getattr(arg, "args", None):
-            break
-        else:
-            new.append(arg)
-    else:
-        return _with_args(ty, new)
     done: dict[int, TypeExpr] = {}
-    stack = [ty]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:  # a shared argument, queued twice
-            stack.pop()
-            continue
-        new = []
-        waiting = False
-        for arg in node.args:
+    nodes, news = [ty], [[]]
+    while True:
+        node, new = nodes[-1], news[-1]
+        args = node.args
+        for arg in args[len(new) :]:  # resumed after the argument just closed
             kind = type(arg)
             if kind is TVar:
                 new.append(subst.get(arg.name, arg))
-            elif not getattr(arg, "args", None):
+            elif kind is Base or kind is Bool or not arg.args:
                 new.append(arg)
             elif id(arg) in done:
                 new.append(done[id(arg)])
             else:
-                stack.append(arg)
-                waiting = True
-        if waiting:
-            continue
-        stack.pop()
-        done[id(node)] = _with_args(node, new)
-    return done[id(ty)]
-
-
-def _with_args(node: TypeExpr, args: list) -> TypeExpr:
-    """The application `node` with arguments `args`: `node` itself where
-    each is the argument it had.
-    """
-    if all(map(is_, args, node.args)):
-        return node
-    if type(node) is SymApp:
-        return SymApp(node.symbol, tuple(args))
-    return CtorApp(node.ctor, tuple(args))
+                nodes.append(arg)
+                news.append([])
+                break
+        else:
+            nodes.pop()
+            news.pop()
+            if all(map(is_, new, args)):
+                image = node
+            elif type(node) is SymApp:
+                image = SymApp(node.symbol, tuple(new))
+            else:
+                image = CtorApp(node.ctor, tuple(new))
+            if not nodes:
+                return image
+            done[id(node)] = image
+            news[-1].append(image)
 
 
 def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:

@@ -22,6 +22,7 @@ from regunify import (
     Clause,
     Compound,
     FreshSupply,
+    RegunifyError,
     ResolutionBudget,
     SolveWrong,
     SymApp,
@@ -245,30 +246,43 @@ def _programs(draw):
     return draw(st.permutations(program)), goals * draw(st.integers(1, 3))
 
 
-def test_matches_reference_on_fact_dense_programs():
-    """Every case agrees, and the memo replays tries in many of them."""
+_CASES = dict(
+    case=_programs(),
+    overrides=st.sampled_from(_OVERRIDES),
+    max_steps=st.one_of(st.integers(1, 80), st.just(80)),
+    max_depth=st.one_of(st.integers(1, 8), st.just(8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_CASES)
+def test_matches_reference_on_fact_dense_programs(case, overrides, max_steps, max_depth):
+    program, query = case
+    agree(program, query, overrides, DEFS, max_steps, max_depth)
+
+
+def test_the_memo_replays_tries_in_many_fact_dense_programs():
+    """The cases above exercise the memo: in a tenth of them at least, the
+    search makes more clause tries than it walks.  The share is a statistic
+    of the draw, which random draws put below a tenth now and then, so the
+    draw is fixed here.
+    """
     replayed = []
 
-    # derandomized: the share of cases that replay is a statistic of the
-    # draw, and random draws put it below a tenth now and then
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        case=_programs(),
-        overrides=st.sampled_from(_OVERRIDES),
-        max_steps=st.one_of(st.integers(1, 80), st.just(80)),
-        max_depth=st.one_of(st.integers(1, 8), st.just(8)),
-    )
-    def check(case, overrides, max_steps, max_depth):
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(**_CASES)
+    def count(case, overrides, max_steps, max_depth):
         program, query = case
-        if agree(program, query, overrides, DEFS, max_steps, max_depth)[0] == "raised":
-            return
         search = _search(program, overrides, DEFS, max_steps, max_depth)
         goals = _counting(search)
-        search.run(tuple(query), _query_vars(query))
+        try:
+            search.run(tuple(query), _query_vars(query))
+        except RegunifyError:  # an ill-typed query, which the reference rejects too
+            return
         tries = sum(1 for b in search.report.branches if b.via == "clause")
         replayed.append(tries > len(goals))
 
-    check()
+    count()
     assert sum(replayed) >= len(replayed) // 10
 
 
@@ -282,6 +296,7 @@ def test_a_path_scan_replays_its_fact_tries(monkeypatch):
     program, query = parse_program(text), parse_query("?- path(n0, nowhere).")
     outcome, steps, _notes = agree(program, query, max_steps=2_000)
     assert (outcome, steps) == (("no_unknown", True), 2_000)
+    program = parse_program(text)  # clauses whose templates were not read yet
     search = _search(program, max_steps=2_000)
     goals = _counting(search)
     walked, built = _walks(monkeypatch), _phases(monkeypatch)
@@ -294,9 +309,10 @@ def test_a_path_scan_replays_its_fact_tries(monkeypatch):
     assert {b.verdict for b in search.report.branches} == {"solved", "false"}
     assert len(built) == (2_000 - len(goals)) + 2 * len(goals)
     # no try walks a clause to rename it or to type its head: each clause's
-    # template is read when the program is indexed
-    parts = {id(t) for clause in program for t in (clause.head, *clause.body)}
-    assert [t for t in walked if id(t) in parts] == []
+    # template is read once, at its first renaming
+    parts = [id(t) for clause in program for t in (clause.head, *clause.body)]
+    clause_walks = [id(t) for t in walked if id(t) in set(parts)]
+    assert len(clause_walks) == len(set(clause_walks)) > 0
 
 
 def test_app_types_its_ground_list_once(monkeypatch):
@@ -305,6 +321,7 @@ def test_app_types_its_ground_list_once(monkeypatch):
     query = (Compound("app", (mk_list(items), mk_list([mk_int(9)]), Var("R"))),)
     outcome = agree(program, query)[0]
     assert outcome == ("yes", [("R", mk_list(items + [mk_int(9)]))], [("R", INT_LIST)])
+    program = parse_program("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
     search = _search(program)
     goals = _counting(search)
     walked = _walks(monkeypatch)
@@ -312,8 +329,10 @@ def test_app_types_its_ground_list_once(monkeypatch):
     assert len(search.report.branches) == 2 * 60 + 1
     assert len(goals) <= 6  # the first steps, until the goal's types repeat
     # a goal's list argument has a closed type, which proves it ground, so
-    # no goal context walks it, and the clauses' templates need no walk
-    assert walked == []
+    # no goal context walks it; what is walked is each clause's parts, once,
+    # for its template
+    parts = [id(t) for clause in program for t in (clause.head, *clause.body)]
+    assert sorted(map(id, walked)) == sorted(parts)
 
 
 def test_app_answers_over_5000_elements():
