@@ -89,7 +89,12 @@ class FreshSupply:
 
     def var(self, hint: str = "g") -> Var:
         self._count += 1
-        return Var(f"${hint}{self._count}")
+        return Var(self.var_name(hint, self._count))
+
+    @staticmethod
+    def var_name(hint: str, n: int) -> str:
+        """The name `var(hint)` gives when it draws the supply's n-th name."""
+        return f"${hint}{n}"
 
     @property
     def drawn(self) -> int:

@@ -53,11 +53,12 @@ derivation around it.  Each clause's template, its variable names in
 first-occurrence order and how many its head holds, is read once, at the
 clause's first renaming (`Clause.template`); a try renames from it, drawing
 the fresh names a walk would, and types the renamed head's variables from
-the names the renaming drew, so a ground clause is its own renaming, with an
-empty head context, at no walk.  A state does not carry the answer either: it links its step's term
-unifier to its parent's in a trail, and the query's variables are resolved
-through the trail once, at the answer (`_compose`), with a stack of its
-own, where composing the answer at every step re-walked it.
+the names the renaming drew, so a ground clause is its own renaming, with
+an empty head context, at no walk.  A state does not carry the answer
+either: it links its step's term unifier to its parent's in a trail, and
+the query's variables are resolved through the trail once, at the answer
+(`_compose`), with a stack of its own, where composing the answer at every
+step re-walked it.
 
 A goal `t1 = t2` is solved by typed unification directly instead of clause
 search.  `is` and other unknown predicates have no special meaning: they
@@ -174,22 +175,23 @@ def rename_clause(clause: Clause, fresh: FreshSupply) -> Clause:
     order of the clause's template; a clause without variables draws no
     names and is returned as it is.
     """
-    return _renaming(clause, fresh)[0]
-
-
-def _renaming(clause: Clause, fresh: FreshSupply) -> tuple[Clause, list[str]]:
-    """`rename_clause`'s copy, and the fresh names of its head's variables
-    in first-occurrence order, read from the renaming instead of a walk.
-    """
-    names, in_head = clause.template
+    names, _in_head = clause.template
     if not names:  # a ground clause is its own renaming
-        return clause, []
+        return clause
     mapping: Subst = {name: fresh.var(f"{name}_") for name in names}
-    renamed = Clause(
+    return Clause(
         apply_subst(mapping, clause.head),
         tuple(apply_subst(mapping, g) for g in clause.body),
     )
-    return renamed, [mapping[name].name for name in names[:in_head]]
+
+
+def _head_names(clause: Clause, drawn: int) -> list[str]:
+    """The names `rename_clause` gives the clause's head variables, in
+    first-occurrence order, when the supply had drawn `drawn` names before
+    it: read from the template, not from a walk of the copy.
+    """
+    names, in_head = clause.template
+    return [FreshSupply.var_name(f"{name}_", drawn + i) for i, name in enumerate(names[:in_head], 1)]
 
 
 def _callable_key(t: Term):
@@ -383,12 +385,13 @@ class _Search:
                 result = solve_columns(types, columns([left], [right])).result
                 verdict = _VERDICT[type(result)]
             else:
-                renamed, head_names = _renaming(clause, self.fresh)
+                drawn = self.fresh.drawn
+                renamed = rename_clause(clause, self.fresh)
                 against, body, via = renamed.head, renamed.body, "clause"
                 if isinstance(goal, Const):
                     ctx, result, verdict = goal_ctx, Solved({}, {}), "solved"
                 else:
-                    head_ctx = {name: FreshSupply.tvar_for(name) for name in head_names}
+                    head_ctx = {name: FreshSupply.tvar_for(name) for name in _head_names(clause, drawn)}
                     ctx = goal_ctx | head_ctx
                     verdict, result = self.unify(ctx, goal, renamed.head, head_ctx, clause, memo)
             notes.append(BranchNote(depth, goal, against, verdict, final, via))
