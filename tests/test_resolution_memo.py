@@ -310,8 +310,8 @@ def test_a_path_scan_replays_its_fact_tries(monkeypatch):
     assert len(built) == (2_000 - len(goals)) + 2 * len(goals)
     # no try walks a clause to rename it or to type its head: each clause's
     # template is read once, at its first renaming
-    parts = [id(t) for clause in program for t in (clause.head, *clause.body)]
-    clause_walks = [id(t) for t in walked if id(t) in set(parts)]
+    parts = {id(t) for clause in program for t in (clause.head, *clause.body)}
+    clause_walks = [id(t) for t in walked if id(t) in parts]
     assert len(clause_walks) == len(set(clause_walks)) > 0
 
 
