@@ -40,13 +40,26 @@ per node for the whole search; an argument without a closed type, such as
 memo lacks runs `unify_args` and `solve_columns`, and stores its type phase
 only where that does not depend on where the fresh-name counter stood (see
 `_Search.unify`).  A try it holds moves the fresh-name counter past the
-names the walk would have drawn, solves the term constraints alone (given
-no type constraints, the solver builds no type phase), and rebuilds the
-types of the goal's variables and the head's from the stored ones.  Every
-try is still made and noted, in program order, and every `steps` count,
-branch note, binding, type and fresh name is the one the walk gives.  So
-`app` types its ground list once instead of at every step, and a scan of
-ground facts types one fact per goal and clause key.
+names the walk would have drawn, unifies the terms alone, and rebuilds the
+types of the goal's variables and the head's from the stored ones.  Against
+a ground fact the terms are matched, one way, with a stack of its own
+(`_match_fact`): a variable binds to the head's subterm, constants agree on
+symbol and kind, compounds on functor and arity, so the verdict and the
+unifier are the rules' and no solver phase is built; against any other
+clause the term constraints are solved (given no type constraints, the
+solver builds no type phase).  Every try is still made and noted, in
+program order, and every `steps` count, branch note, binding, type and
+fresh name is the one the walk gives.  So `app` types its ground list once
+instead of at every step, and a scan of ground facts types one fact per
+goal and clause key and compares a few constants for each other fact.
+
+A try that builds its type columns, a memo miss or a goal without a key,
+does not walk an argument with a closed type either, the goal's or the
+head's: the argument adds its closed type, and the fresh-name counter moves
+past the names its walk would draw (`_Search.unify_args`).  The closed type
+is the argument's principal type, so the solved state is the walk's for
+every other variable.  So a miss of `app` costs its clause and its
+variables, not the list it passes on.
 
 Beyond its type phase, a try pays for what it changes, not for the
 derivation around it.  Each clause's template, its variable names in
@@ -273,10 +286,12 @@ class _Search:
         self.budget_exceeded = False
         # the memo of type phases: goal key -> clause key -> entry (see unify)
         self.memo: dict[tuple, dict] = {}
-        self.clause_keys: dict = {}  # id of a clause -> its key
+        self.clauses: dict = {}  # id of a clause -> its key and its head's closed types
         self.closed = ClosedTypes(self.sig)
 
-    def unify_args(self, ctx: Context, goal: Compound, head: Compound) -> tuple[tuple, tuple]:
+    def unify_args(
+        self, ctx: Context, goal: Compound, head: Compound, goal_closed=None, head_closed=None
+    ) -> tuple[tuple, tuple]:
         """Argument-wise typed unification of a goal with a clause head, as
         the type and term columns of `solve_columns`.  The terms hold one
         equation per argument pair.  The types hold each pair's constraints
@@ -285,16 +300,26 @@ class _Search:
         first.  Both atoms instantiate the predicate's scheme independently,
         so the declared signature constrains the goal's arguments and the
         head's.
+
+        `goal_closed` and `head_closed`, where given, hold each argument's
+        closed type and draws (`ClosedTypes.of`) or None.  An argument with
+        a closed type adds that type where the walk would add its
+        constraints and its type, and the supply skips the names the walk
+        would draw, so every later name is the walk's.  Its constraints
+        hold exactly when it has its principal type, which is closed, so
+        the solved state gives every other variable the type the walk does.
         """
         scheme = self.sig.lookup_predicate(goal.functor, goal.arity)  # the head's too
         goal_ft, head_ft = instantiate(scheme, self.fresh), instantiate(scheme, self.fresh)
         assert isinstance(goal_ft, FuncType) and isinstance(head_ft, FuncType)
+        unknown = (None,) * goal.arity
+        pairs = zip(goal.args, goal_closed or unknown, head.args, head_closed or unknown)
         lhs: list = []
         rhs: list = []
         goal_tys, head_tys = [], []  # each pair's goal type = head type
-        for g_arg, h_arg in zip(goal.args, head.args):
-            goal_tys.append(gen_columns(ctx, self.sig, g_arg, self.fresh, lhs, rhs))
-            head_tys.append(gen_columns(ctx, self.sig, h_arg, self.fresh, lhs, rhs))
+        for g_arg, g_closed, h_arg, h_closed in pairs:
+            goal_tys.append(self.arg_type(ctx, g_arg, g_closed, lhs, rhs))
+            head_tys.append(self.arg_type(ctx, h_arg, h_closed, lhs, rhs))
             lhs.append(goal_tys[-1])
             rhs.append(head_tys[-1])
         lhs += goal_tys
@@ -302,6 +327,15 @@ class _Search:
         lhs += head_tys
         rhs += head_ft.domain
         return columns(lhs, rhs), columns(list(goal.args), list(head.args))
+
+    def arg_type(self, ctx: Context, arg: Term, closed, lhs: list, rhs: list) -> TypeExpr:
+        """The type of an argument: its closed type, the supply moved past
+        the names typing it draws, or else `gen_columns`'.
+        """
+        if closed is None:
+            return gen_columns(ctx, self.sig, arg, self.fresh, lhs, rhs)
+        self.fresh.skip(closed[1])
+        return closed[0]
 
     def run(self, goals, query) -> Optional[tuple[Subst, Context]]:
         """The first answer's bindings of the query's variables `query` (their
@@ -328,19 +362,20 @@ class _Search:
                 stack.append(self.tries(goals, trail, var_types, depth, query))
         return None
 
-    def goal_context(self, goal: Term, var_types: Context) -> Context:
+    def goal_context(self, goal: Term, closed, var_types: Context) -> Context:
         """The goal's variables' types: the derivation's, and for one not
         met before its generic type, in first-occurrence order.  Only the
-        arguments without a closed type are walked, since a closed type
-        (`ClosedTypes.of`, read once per node) proves its argument ground;
-        so a goal costs its variables, not its ground arguments.
+        arguments without a closed type (`closed`, each argument's
+        `ClosedTypes.of`, read once per node) are walked, since a closed
+        type proves its argument ground; so a goal costs its variables, not
+        its ground arguments.
         """
         ctx: Context = {}
-        for arg in goal.args if type(goal) is Compound else ():
+        for arg, got in zip(goal.args if type(goal) is Compound else (), closed):
             kind = type(arg)
             if kind is Var:
                 names = (arg.name,)
-            elif kind is Compound and self.closed.of(arg) is None:
+            elif kind is Compound and got is None:
                 names = free_vars(arg)
             else:
                 continue
@@ -369,10 +404,11 @@ class _Search:
                 return
         # the goal's variables keep the types the derivation gave them; one
         # not met before gets its generic type
-        goal_ctx = self.goal_context(goal, var_types)
+        closed = tuple(map(self.closed.of, goal.args)) if type(goal) is Compound else ()
+        goal_ctx = self.goal_context(goal, closed, var_types)
         memo = None
-        if clauses[0] is not None and type(goal) is Compound:
-            memo = self.goal_key(goal, goal_ctx)
+        if clauses[0] is not None and closed:
+            memo = self.goal_key(goal, closed, goal_ctx)
         for clause in clauses:
             if self.report.steps >= self.budget.max_steps:
                 self.budget_exceeded = True
@@ -393,7 +429,7 @@ class _Search:
                 else:
                     head_ctx = {name: FreshSupply.tvar_for(name) for name in _head_names(clause, drawn)}
                     ctx = goal_ctx | head_ctx
-                    verdict, result = self.unify(ctx, goal, renamed.head, head_ctx, clause, memo)
+                    verdict, result = self.unify(ctx, goal, closed, renamed.head, head_ctx, clause, memo)
             notes.append(BranchNote(depth, goal, against, verdict, final, via))
             if verdict == "solved":
                 subst, mu = result.subst, result.type_subst
@@ -410,69 +446,77 @@ class _Search:
 
     # --- the memo of type phases -----------------------------------------------------
 
-    def goal_key(self, goal: Compound, ctx: Context):
+    def goal_key(self, goal: Compound, closed, ctx: Context):
         """The memo entries of the goal's argument types, the goal's type
         variables in the order the key numbers them, and the names typing
         its arguments draws; None if an argument that is not a variable has
-        no closed type.
+        no closed type (`closed`, as `tries` reads it).
         """
         key: list = []
         names: dict[str, int] = {}
         draws = 0
-        for arg in goal.args:
+        for arg, got in zip(goal.args, closed):
             if type(arg) is Var:
                 key.append(_type_key(ctx[arg.name], names))
                 continue
-            got = self.closed.of(arg)
             if got is None:
                 return None
             key.append(id(got[0]))  # each closed type is one object for the whole search
             draws += got[1]
         return self.memo.setdefault(tuple(key), {}), list(names), draws
 
-    def clause_key(self, clause: Clause):
-        """A ground fact whose arguments all have closed types shares its key
-        with every fact of the same functor, types and draws; any other
-        clause is its own.
+    def clause_info(self, clause: Clause):
+        """The clause's memo key and its head arguments' closed types, read
+        once per clause.  A ground fact whose arguments all have closed
+        types shares its key, a tuple, with every fact of the same functor,
+        types and draws; any other clause is its own key.  A head argument
+        with a closed type is ground, so each renaming of the clause holds
+        it as it is.
         """
-        key = self.clause_keys.get(id(clause))
-        if key is None:
-            key = id(clause)
+        info = self.clauses.get(id(clause))
+        if info is None:
             head = clause.head
-            if not clause.body and type(head) is Compound:
-                types = [self.closed.of(arg) for arg in head.args]
-                if None not in types:
-                    key = (head.functor, *[id(ty) for ty, _n in types], sum(n for _ty, n in types))
-            self.clause_keys[id(clause)] = key
-        return key
+            types = tuple(map(self.closed.of, head.args))
+            key = id(clause)
+            if not clause.body and None not in types:
+                key = (head.functor, *[id(ty) for ty, _n in types], sum(n for _ty, n in types))
+            info = self.clauses[id(clause)] = key, types
+        return info
 
-    def unify(self, ctx: Context, goal: Compound, head: Compound, head_ctx: Context, clause, memo):
+    def unify(self, ctx: Context, goal: Compound, closed, head: Compound, head_ctx: Context, clause, memo):
         """The verdict of a clause try and, when solved, its result.
 
-        Without a memo (`goal_key`) this is `unify_args` and `solve_columns`.
-        With one, a miss does the same and stores its type phase when that
-        does not depend on where the fresh-name counter stood: wrong, or a
-        type unifier that maps the goal's type variables and the head's
-        variables to types made of the goal's type variables alone.  A hit
-        skips the names the miss's walk would draw, solves the term
-        constraints alone, and renames the stored types to this goal's and
-        this renamed head's variables.
+        Without a memo (`goal_key`) this is `unify_args`, given the closed
+        types of the goal's arguments (`closed`) and of the head's, and
+        `solve_columns`.  With one, a miss does the same and stores its
+        type phase when that does not depend on where the fresh-name
+        counter stood: wrong, or a type unifier that maps the goal's type
+        variables and the head's variables to types made of the goal's type
+        variables alone.  A hit skips the names the miss's walk would draw,
+        unifies the terms alone, and renames the stored types to this
+        goal's and this renamed head's variables.  Against a ground fact
+        the terms are matched (`_match_fact`); against any other clause the
+        term constraints are solved.
         """
+        key, head_closed = self.clause_info(clause)
         if memo is None:
-            result = solve_columns(*self.unify_args(ctx, goal, head)).result
+            result = solve_columns(*self.unify_args(ctx, goal, head, closed, head_closed)).result
             return _VERDICT[type(result)], result
         entries, names, goal_draws = memo
         heads = [ty.name for ty in head_ctx.values()]  # the head's variables' types
-        key = self.clause_key(clause)
         entry = entries.get(key)
         if entry is not None:
             draws, stored = entry
             self.fresh.skip(goal_draws + draws)
             if stored is None:
                 return "wrong", None
-            result = solve_columns(columns([], []), columns(list(goal.args), list(head.args))).result
-            if type(result) is SolveFalse:
-                return "false", result
+            if type(key) is tuple:
+                subst = _match_fact(goal.args, head.args)
+            else:
+                result = solve_columns(columns([], []), columns(list(goal.args), list(head.args))).result
+                subst = result.subst if type(result) is Solved else None
+            if subst is None:
+                return "false", None
             old, types, moves = stored
             rename = {a: TVar(b) for a, b in zip(old, names) if a != b} if moves else None
             mu = {
@@ -480,9 +524,9 @@ class _Search:
                 for name, ty in zip(names + heads, types)
                 if ty is not None
             }
-            return "solved", Solved(result.subst, mu)
+            return "solved", Solved(subst, mu)
         before = self.fresh.drawn
-        result = solve_columns(*self.unify_args(ctx, goal, head)).result
+        result = solve_columns(*self.unify_args(ctx, goal, head, closed, head_closed)).result
         verdict = _VERDICT[type(result)]
         draws = self.fresh.drawn - before - goal_draws
         if verdict == "wrong":
@@ -493,6 +537,39 @@ class _Search:
             if seen <= set(names):
                 entries[key] = (draws, (names, types, bool(seen)))
         return verdict, result
+
+
+def _match_fact(goal_args, head_args) -> Optional[Subst]:
+    """The term unifier of a goal's arguments with a ground head's, or None
+    where they do not unify: a one-way match, with a stack of its own, in
+    the solver's left-to-right order.  A variable binds to the head subterm
+    it meets first, and a later occurrence matches its binding against the
+    subterm it meets then.  Constants agree on symbol and kind, and
+    compounds on functor and arity, as the solver's rules decide.  The head
+    is ground, so neither orient nor occurs can arise, and the unifier is
+    the one the rules give.
+    """
+    subst: Subst = {}
+    todo = list(zip(reversed(goal_args), reversed(head_args)))
+    while todo:
+        pattern, term = todo.pop()
+        if pattern is term:
+            continue
+        kind = type(pattern)
+        if kind is Var:
+            bound = subst.setdefault(pattern.name, term)
+            if bound is not term:
+                todo.append((bound, term))
+        elif kind is not type(term):
+            return None
+        elif kind is Const:
+            if (pattern.symbol, pattern.kind) != (term.symbol, term.kind):
+                return None
+        elif pattern.functor != term.functor or len(pattern.args) != len(term.args):
+            return None
+        else:
+            todo += zip(reversed(pattern.args), reversed(term.args))
+    return subst
 
 
 def _type_key(ty: TypeExpr, names: dict[str, int]) -> tuple:

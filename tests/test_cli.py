@@ -227,6 +227,23 @@ def test_run_corpus_prints_what_it_printed_before_the_memo(capsys, monkeypatch):
         assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"]), entry["argv"]
 
 
+def test_run_facts_corpus_prints_what_it_printed_before_fact_matching(capsys, monkeypatch):
+    # `run`, `run --json` and `run --trace` of tests/data/run/facts.pl:
+    # goals with repeated variables against ground facts, nested ground
+    # heads, literals of every kind (1, 1.0 and "1"), functions that forget
+    # their argument's type, and user constants with closed and open types.
+    # The outputs were recorded before a try against a ground fact matched
+    # its terms instead of solving them and before a try typed its ground
+    # arguments by their closed types, so every byte must be the same.
+    root = Path(__file__).parent.parent
+    corpus = json.loads((root / "tests/data/run/facts_corpus.json").read_text(encoding="utf-8"))
+    assert len(corpus) == 105
+    monkeypatch.chdir(root)
+    for entry in corpus:
+        code, out, err = cli(capsys, *entry["argv"])
+        assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"]), entry["argv"]
+
+
 def test_run_budget(tmp_path, capsys):
     p = tmp_path / "loop.pl"
     p.write_text("p :- p.\n")
