@@ -70,8 +70,8 @@ the names the renaming drew, so a ground clause is its own renaming, with
 an empty head context, at no walk.  A state does not carry the answer
 either: it links its step's term unifier to its parent's in a trail, and
 the query's variables are resolved through the trail once, at the answer
-(`_compose`), with a stack of its own, where composing the answer at every
-step re-walked it.
+(`_compose`), by the store reader the solver uses (`syntax.resolve_store`),
+where composing the answer at every step re-walked it.
 
 A goal `t1 = t2` is solved by typed unification directly instead of clause
 search.  `is` and other unknown predicates have no special meaning: they
@@ -82,7 +82,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import is_
 from typing import Optional, Union
 
 from .constraints import (
@@ -108,6 +107,8 @@ from .syntax import (
     apply_type_subst,
     free_type_vars,
     free_vars,
+    rebuild_term,
+    resolve_store,
 )
 from .typedefs import SignatureEnv, TypeDefSet, derive_signatures, instantiate
 
@@ -224,49 +225,20 @@ def _compose(trail, names) -> Subst:
     No step binds a variable an earlier step bound, since that variable has
     left every goal, and the renamed clauses' are fresh; so the steps'
     unifiers together are one triangular store, and the composition binds
-    each name to what it stands for under the store.  That is read once,
-    with a stack of its own, and `done` maps each bound name and the id of
-    each compound resolved so far to its image, so a node is rebuilt once
-    and one under which nothing is bound is kept as it is.
+    each name to what it stands for under the store (`resolve_store`), read
+    through one memo, so a node is rebuilt once and one under which nothing
+    is bound is kept as it is.
     """
     store: Subst = {}
     while trail is not None:
         step, trail = trail
         store.update(step)
-    done: dict = {}
-    stack = [name for name in names if name in store]
-    while stack:
-        top = stack[-1]
-        bound = type(top) is str  # a bound variable's name, else a compound
-        key = top if bound else id(top)
-        if key in done:  # queued twice
-            stack.pop()
-            continue
-        new = []
-        waiting = False
-        for kid in (store[top],) if bound else top.args:
-            kind = type(kid)
-            if kind is Var and kid.name in store:
-                kid_key = kid.name
-            elif kind is Compound:
-                kid_key = id(kid)
-            else:
-                new.append(kid)
-                continue
-            got = done.get(kid_key)
-            if got is None:
-                stack.append(kid.name if kind is Var else kid)
-                waiting = True
-            else:
-                new.append(got)
-        if waiting:
-            continue
-        stack.pop()
-        if bound:
-            done[key] = new[0]
-        else:
-            done[key] = top if all(map(is_, new, top.args)) else Compound(top.functor, tuple(new))
-    return {name: done[name] for name in names if name in store}
+    memo: dict = {}
+    return {
+        name: resolve_store(store, store[name], memo, Var, rebuild_term)
+        for name in names
+        if name in store
+    }
 
 
 _VERDICT = {Solved: "solved", SolveFalse: "false", SolveWrong: "wrong"}

@@ -23,10 +23,11 @@ a distinct variable that appears nowhere else, so reading them off gives
 idempotent substitutions.
 
 The engine (_Phase) runs these rules without doing what eliminate says
-literally: it binds v to s in a store and reads every constraint through
-it, so the substitution is made only where a state, a witness or a unifier
-is built.  Every step, trace state and result is the one the rules as
-stated give.
+literally: it binds v to s in a triangular store and reads every
+constraint through it, with the store readers that resolution and the
+checker share (`syntax.deref` and `syntax.resolve_store`), so the
+substitution is made only where a state, a witness or a unifier is built.
+Every step, trace state and result is the one the rules as stated give.
 """
 
 from __future__ import annotations
@@ -41,15 +42,17 @@ from .errors import BudgetExceeded
 from .syntax import (
     Base,
     Bool,
-    Compound,
     Const,
-    CtorApp,
     SymApp,
     TVar,
     Term,
     TypeExpr,
     Var,
     apply_type_subst,
+    deref,
+    rebuild_term,
+    rebuild_type,
+    resolve_store,
     tree_counts,
 )
 from .constraints import (
@@ -158,16 +161,6 @@ def _rigid_term_rule(lhs: Term, rhs: Term) -> int:
     return _DECOMPOSE if lhs.args else _DELETE
 
 
-def _rebuild_type(ty: TypeExpr, args: tuple) -> TypeExpr:
-    if isinstance(ty, SymApp):
-        return SymApp(ty.symbol, args)
-    return CtorApp(ty.ctor, args)
-
-
-def _rebuild_term(t: Term, args: tuple) -> Term:
-    return Compound(t.functor, args)
-
-
 class _Family(NamedTuple):
     """What the engine needs to know about one kind of constraint."""
 
@@ -178,8 +171,8 @@ class _Family(NamedTuple):
     offset: int  # rule number = family-local rule (1-6) + offset
 
 
-_TYPES = _Family(TypeConstraint, TVar, _family_rule(TVar, _rigid_type_rule), _rebuild_type, 0)
-_TERMS = _Family(TermConstraint, Var, _family_rule(Var, _rigid_term_rule), _rebuild_term, 6)
+_TYPES = _Family(TypeConstraint, TVar, _family_rule(TVar, _rigid_type_rule), rebuild_type, 0)
+_TERMS = _Family(TermConstraint, Var, _family_rule(Var, _rigid_term_rule), rebuild_term, 6)
 
 # The last element of every order key (see _Phase); no counter reaches it.
 _LAST = sys.maxsize
@@ -203,7 +196,8 @@ class _Phase:
     its binding all the way down, and that is the side the rules' definition
     sees.  So a binding costs the constraints whose rule it can change, not
     every constraint that holds v.  A constraint object is built through the
-    store only when a trace, a witness or the caller asks for it.
+    store (`syntax.resolve_store`) only when a trace, a witness or the
+    caller asks for it.
 
     A phase starts from columns, one entry per constraint in order: the left
     sides, the right sides, the local rules (None: read off here) and the
@@ -214,9 +208,10 @@ class _Phase:
     table (_KEYS), not built per constraint.
 
     A rule is read off the sides' top nodes after following the store
-    (_deref; see _family_rule), with no head keys built and no structural
-    comparison.  What the rules' definition recomputes at every step is kept
-    up to date as the rules fire instead:
+    (`syntax.deref`, which also moves a chain's bindings to its end; see
+    _family_rule), with no head keys built and no structural comparison.
+    What the rules' definition recomputes at every step is kept up to date
+    as the rules fire instead:
 
     - Order keys.  Keys are tuples ending in _LAST that compare like the
       positions of their constraints in the sequence.  Decompose leaves the
@@ -284,68 +279,6 @@ class _Phase:
 
     # --- the store -------------------------------------------------------------
 
-    def _deref(self, node):
-        """What the top of `node` stands for: `node`, or the end of the chain
-        of bindings from it.  The chain's bindings are moved to its end.
-        """
-        var, bound = self.var, self.bound
-        if type(node) is not var or node.name not in bound:
-            return node
-        passed = []
-        while type(node) is var and node.name in bound:
-            passed.append(node.name)
-            node = bound[node.name]
-        for name in passed[:-1]:
-            bound[name] = node
-        return node
-
-    def _resolve(self, node, memo: dict):
-        """The term or type `node` stands for under the store.
-
-        Returns `node` itself when no bound variable occurs in it, so what the
-        store leaves alone stays shared.  `memo` maps the id of each compound
-        node and the name of each bound variable already done to its result;
-        sharing it over several sides keeps a subterm they share one object.
-        """
-        var, bound, rebuild = self.var, self.bound, self.family.rebuild
-        if type(node) is var:
-            if node.name not in bound:
-                return node
-            node = self._deref(node)
-        if not bound or not getattr(node, "args", None):
-            return node
-
-        stack = [node]
-        while stack:
-            top = stack[-1]
-            args = getattr(top, "args", None)
-            key = id(top) if args else top.name
-            if key in memo:
-                stack.pop()
-                continue
-            new, todo, same = [], False, True
-            for kid in args or (bound[key],):
-                if getattr(kid, "args", None):
-                    got = memo.get(id(kid))
-                elif type(kid) is var and kid.name in bound:
-                    got = memo.get(kid.name)
-                else:
-                    got = kid
-                if got is None:
-                    stack.append(kid)
-                    todo = True
-                else:
-                    new.append(got)
-                    same = same and got is kid
-            if todo:
-                continue
-            stack.pop()
-            if not args:
-                memo[key] = new[0]
-            else:
-                memo[key] = top if same else rebuild(top, tuple(new))
-        return memo[id(node)]
-
     def _counts_under(self, roots) -> dict[str, int]:
         """Occurrences of each variable in the trees that `roots` stand for
         under the store, counted as syntax.tree_counts counts them: a subterm
@@ -402,8 +335,9 @@ class _Phase:
         and queue the rule it matches: `push` is heapreplace where the entry
         takes the place of the redex's at the top of the heap.
         """
-        if self.bound:
-            lhs, rhs = self._deref(lhs), self._deref(rhs)
+        bound = self.bound
+        if bound:
+            lhs, rhs = deref(bound, lhs, self.var), deref(bound, rhs, self.var)
             for side in lhs, rhs:
                 if type(side) is self.var:
                     self.tops.setdefault(side.name, []).append(cid)
@@ -431,12 +365,13 @@ class _Phase:
         made = self.made
         if made[cid] is not None and (self.index is not None or not self.bound):
             return made[cid]
-        lhs, rhs = self.lhs[cid], self.rhs[cid]
-        if self.bound:
+        lhs, rhs, bound = self.lhs[cid], self.rhs[cid], self.bound
+        if bound:
             memo = {} if memo is None else memo
+            var, rebuild = self.var, self.family.rebuild
             if self.rules[cid] != _BOUND:
-                lhs = self._resolve(lhs, memo)
-            rhs = self._resolve(rhs, memo)
+                lhs = resolve_store(bound, lhs, memo, var, rebuild)
+            rhs = resolve_store(bound, rhs, memo, var, rebuild)
         c = made[cid] = self.family.constraint(lhs, rhs)
         return c
 
@@ -497,9 +432,9 @@ class _Phase:
             lhs, rhs = self.lhs[cid], self.rhs[cid]
             if bound:
                 if rules[cid] != _BOUND and lhs.name in bound:
-                    lhs = self._deref(lhs)
+                    lhs = deref(bound, lhs, var)
                 if getattr(rhs, "args", None) or type(rhs) is var and rhs.name in bound:
-                    rhs = self._resolve(rhs, memo)
+                    rhs = resolve_store(bound, rhs, memo, var, self.family.rebuild)
             assert type(lhs) is var, "constraints not in solved form"
             out[lhs.name] = rhs
         return out
@@ -518,11 +453,11 @@ class _Phase:
                     self._census()
                 lhs = self.lhs[cid]
                 if lhs.name in bound:
-                    lhs = self.lhs[cid] = self._deref(lhs)
+                    lhs = self.lhs[cid] = deref(bound, lhs, var)
                 if self.counts[lhs.name] > 1:
                     rhs = self.rhs[cid]
                     if type(rhs) is var and rhs.name in bound:
-                        rhs = self.rhs[cid] = self._deref(rhs)
+                        rhs = self.rhs[cid] = deref(bound, rhs, var)
                     if type(rhs) is var:
                         inside = {rhs.name: 1}
                     elif getattr(rhs, "args", None):
@@ -601,13 +536,13 @@ class _Phase:
             self.index[name] = [binder]
             for var in inside:
                 self.index.setdefault(var, []).extend(holders)
-        tops, deref, var = self.tops, self._deref, self.var
+        tops, bound, var = self.tops, self.bound, self.var
         moved = tops.pop(name, [])
         if type(value) is not var:
             # those with `name` on the left change rule, each once: a cid
             # listed twice matches a rule below eliminate once read again
             for cid in moved:
-                if _ELIMINATE <= rules[cid] <= _OCCURS and type(deref(self.lhs[cid])) is not var:
+                if _ELIMINATE <= rules[cid] <= _OCCURS and type(deref(bound, self.lhs[cid], var)) is not var:
                     self._queue(cid, self.lhs[cid], self.rhs[cid])
             return
         short, long = moved, tops.get(value.name, [])
@@ -617,7 +552,7 @@ class _Phase:
         tops[value.name] = long
         for cid in short:
             if rules[cid] == _ELIMINATE:
-                lhs, rhs = deref(self.lhs[cid]), deref(self.rhs[cid])
+                lhs, rhs = deref(bound, self.lhs[cid], var), deref(bound, self.rhs[cid], var)
                 if type(rhs) is var and rhs.name == lhs.name:
                     self._queue(cid, lhs, rhs)
 

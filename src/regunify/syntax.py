@@ -11,7 +11,7 @@ reports a position from its tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import is_
 from typing import Union
 
@@ -26,6 +26,39 @@ class SourceSpan:
 
     def __str__(self) -> str:
         return f"{self.source}:{self.line}:{self.column}"
+
+
+# The longest repr an application gives before it is cut (see _app_repr).
+_REPR_CAP = 10_000
+
+
+def _app_repr(node) -> str:
+    """The text the dataclass repr gives an application, `node`, written
+    with a stack of its own and cut after _REPR_CAP characters, which then
+    end in "...": a subterm shared by several parents is written once per
+    path, so the text of a small node can be exponentially long.
+    """
+    parts: list[str] = []
+    size = 0
+    stack: list = [node]
+    while stack and size <= _REPR_CAP:
+        item = stack.pop()
+        if type(item) is str:
+            text = item
+        elif type(item) in _APPS:
+            head = fields(item)[0].name
+            text = f"{type(item).__name__}({head}={getattr(item, head)!r}, args=("
+            stack.append(",))" if len(item.args) == 1 else "))")
+            for i, arg in enumerate(reversed(item.args)):
+                if i:
+                    stack.append(", ")
+                stack.append(arg)
+        else:  # a leaf, whose generated repr walks nothing
+            text = repr(item)
+        parts.append(text)
+        size += len(text)
+    text = "".join(parts)
+    return text if size <= _REPR_CAP else text[:_REPR_CAP] + "..."
 
 
 # --- terms -----------------------------------------------------------------
@@ -61,6 +94,8 @@ class Compound:
 
     functor: str
     args: tuple["Term", ...]
+
+    __repr__ = _app_repr
 
     @property
     def arity(self) -> int:
@@ -137,6 +172,8 @@ class SymApp:
     symbol: str
     args: tuple["TypeExpr", ...] = ()
 
+    __repr__ = _app_repr
+
 
 @dataclass(frozen=True)
 class CtorApp:
@@ -145,8 +182,12 @@ class CtorApp:
     ctor: str
     args: tuple["TypeExpr", ...] = ()
 
+    __repr__ = _app_repr
+
 
 TypeExpr = Union[TVar, Base, Bool, SymApp, CtorApp]
+
+_APPS = (Compound, SymApp, CtorApp)
 
 INT = Base("int")
 FLOAT = Base("float")
@@ -198,73 +239,60 @@ Subst = dict[str, Term]
 TypeSubst = dict[str, TypeExpr]
 
 
-def apply_subst(subst: Subst, term: Term) -> Term:
-    """Replace every bound variable in `term`; unbound variables stay.
+def rebuild_term(t: Compound, args: tuple) -> Compound:
+    """The compound `t` with `args` for its arguments."""
+    return Compound(t.functor, args)
 
-    Iterative, so a term of any depth costs no Python stack.  A compound
-    under which no variable is bound is returned as it is, so what the
-    substitution leaves alone keeps its identity, and a compound shared by
-    several parents is rebuilt once: `done` maps the id of each compound
-    closed so far to its image, and a compound closes once its compound
-    arguments have.
+
+def rebuild_type(ty: Union[SymApp, CtorApp], args: tuple) -> Union[SymApp, CtorApp]:
+    """The application `ty` with `args` for its arguments."""
+    if type(ty) is SymApp:
+        return SymApp(ty.symbol, args)
+    return CtorApp(ty.ctor, args)
+
+
+def apply_subst(subst: Subst, term: Term) -> Term:
+    """Replace every bound variable in `term`; unbound variables stay (see
+    _substitute).
     """
-    kind = type(term)
-    if kind is Var:
+    if type(term) is Var:
         return subst.get(term.name, term)
-    if kind is Const or not subst:
-        return term
-    done: dict[int, Term] = {}
-    stack = [term]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:  # a shared argument, queued twice
-            stack.pop()
-            continue
-        new = []
-        waiting = False
-        for arg in node.args:
-            kind = type(arg)
-            if kind is Var:
-                new.append(subst.get(arg.name, arg))
-            elif kind is Const:
-                new.append(arg)
-            elif id(arg) in done:
-                new.append(done[id(arg)])
-            else:
-                stack.append(arg)
-                waiting = True
-        if waiting:
-            continue
-        stack.pop()
-        done[id(node)] = node if all(map(is_, new, node.args)) else Compound(node.functor, tuple(new))
-    return done[id(term)]
+    return _substitute(subst, term, Var, rebuild_term)
 
 
 def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:
-    """Replace every bound type variable in `ty`; unbound ones stay.
+    """Replace every bound type variable in `ty`; unbound ones stay (see
+    _substitute).
+    """
+    if type(ty) is TVar:
+        return subst.get(ty.name, ty)
+    return _substitute(subst, ty, TVar, rebuild_type)
 
-    Iterative, so a type of any depth costs no Python stack: `nodes` holds
+
+def _substitute(subst: dict, node, var: type, rebuild):
+    """`node`, a term or a type, with each variable of class `var` that
+    `subst` binds replaced by its binding, all at once: a binding is not
+    read again, so {X: Y, Y: X} swaps X and Y.  `rebuild(node, args)` makes
+    an application with new arguments.
+
+    Iterative, so a node of any depth costs no Python stack: `nodes` holds
     the applications entered and not yet closed, and `news` each one's
     arguments' images so far, so each application is read once.  A node
     under which no variable is bound is returned as it is, and a node shared
     by several parents is rebuilt once: `done` maps the id of each node
     closed so far to its image.
     """
-    kind = type(ty)
-    if kind is TVar:
-        return subst.get(ty.name, ty)
-    if not subst or not getattr(ty, "args", None):
-        return ty  # base types, bool, a nullary application, or nothing bound
-    done: dict[int, TypeExpr] = {}
-    nodes, news = [ty], [[]]
+    if not subst or not getattr(node, "args", None):
+        return node  # a constant, a base type, bool, a nullary application
+    done: dict = {}
+    nodes, news = [node], [[]]
     while True:
         node, new = nodes[-1], news[-1]
         args = node.args
         for arg in args[len(new) :]:  # resumed after the argument just closed
-            kind = type(arg)
-            if kind is TVar:
+            if type(arg) is var:
                 new.append(subst.get(arg.name, arg))
-            elif kind is Base or kind is Bool or not arg.args:
+            elif not getattr(arg, "args", None):
                 new.append(arg)
             elif id(arg) in done:
                 new.append(done[id(arg)])
@@ -275,16 +303,85 @@ def apply_type_subst(subst: TypeSubst, ty: TypeExpr) -> TypeExpr:
         else:
             nodes.pop()
             news.pop()
-            if all(map(is_, new, args)):
-                image = node
-            elif type(node) is SymApp:
-                image = SymApp(node.symbol, tuple(new))
-            else:
-                image = CtorApp(node.ctor, tuple(new))
+            image = node if all(map(is_, new, args)) else rebuild(node, tuple(new))
             if not nodes:
                 return image
             done[id(node)] = image
             news[-1].append(image)
+
+
+# --- triangular stores -------------------------------------------------------
+
+# A store binds variable names to terms, or to types, whose own variables may
+# be bound in it too, as the solver's eliminate rule and a derivation's steps
+# leave them (Martelli and Montanari; Baader and Snyder call such a
+# substitution triangular).  A node stands for what it denotes once every
+# bound variable in it is replaced by its binding, all the way down.
+
+
+def deref(store: dict, node, var: type):
+    """What the top of `node` stands for under `store`, whose variables are
+    of class `var`: `node`, or the end of the chain of bindings from it.
+    The chain's bindings are moved to its end, which changes no meaning.
+    """
+    if type(node) is not var or node.name not in store:
+        return node
+    passed = []
+    while type(node) is var and node.name in store:
+        passed.append(node.name)
+        node = store[node.name]
+    for name in passed[:-1]:
+        store[name] = node
+    return node
+
+
+def resolve_store(store: dict, node, memo: dict, var: type, rebuild):
+    """The term or type `node` stands for under `store` (see deref), each
+    application with new arguments made by `rebuild(node, args)`.
+
+    Iterative, so a binding of any depth costs no Python stack.  Returns
+    `node` itself when no bound variable occurs in it, so what the store
+    leaves alone stays shared.  `memo` maps the id of each application and
+    the name of each bound variable already done to its result; sharing it
+    over several nodes keeps a subterm they share one object.
+    """
+    if type(node) is var:
+        if node.name not in store:
+            return node
+        node = deref(store, node, var)
+    if not store or not getattr(node, "args", None):
+        return node
+
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        args = getattr(top, "args", None)
+        key = id(top) if args else top.name
+        if key in memo:
+            stack.pop()
+            continue
+        new, todo, same = [], False, True
+        for kid in args or (store[key],):
+            if getattr(kid, "args", None):
+                got = memo.get(id(kid))
+            elif type(kid) is var and kid.name in store:
+                got = memo.get(kid.name)
+            else:
+                got = kid
+            if got is None:
+                stack.append(kid)
+                todo = True
+            else:
+                new.append(got)
+                same = same and got is kid
+        if todo:
+            continue
+        stack.pop()
+        if not args:
+            memo[key] = new[0]
+        else:
+            memo[key] = top if same else rebuild(top, tuple(new))
+    return memo[id(node)]
 
 
 def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:

@@ -17,11 +17,15 @@ though the term is typeable under another context.
 check_equation decides whether the two sides share some type (the equation
 then has type bool), and is_instance whether one typing is a substitution
 instance of another.
+
+Matching binds the instantiated variables in a triangular store, read
+through `syntax.deref`, and a failure's candidate type is resolved through
+it by `syntax.resolve_store`: the store readers the solver uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .syntax import (
     Const,
@@ -32,7 +36,10 @@ from .syntax import (
     Term,
     TypeExpr,
     apply_type_subst,
+    deref,
     free_type_vars,
+    rebuild_type,
+    resolve_store,
     Var,
 )
 from .errors import UnboundVariable
@@ -41,9 +48,11 @@ from .typedefs import SignatureEnv, instantiate
 Context = dict[str, TypeExpr]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)  # nothing compares or prints it
 class _MatchState:
-    """Bindings for match variables created by scheme instantiation."""
+    """Bindings for match variables created by scheme instantiation: a
+    triangular store of types (see syntax.deref).
+    """
 
     flexible: set[str] = field(default_factory=set)
     bindings: dict[str, TypeExpr] = field(default_factory=dict)
@@ -56,38 +65,11 @@ class _MatchState:
         self.flexible.add(name)
         return TVar(name)
 
-    def resolve(self, ty: TypeExpr) -> TypeExpr:
-        while isinstance(ty, TVar) and ty.name in self.bindings:
-            ty = self.bindings[ty.name]
-        return ty
-
-    def deep_resolve(self, ty: TypeExpr) -> TypeExpr:
-        """`ty` with every bound variable replaced by its binding, at any
-        depth.  An application waits on the stack, wrapped in a 1-tuple,
-        until its resolved arguments are the last entries of `done`.
-        """
-        done: list[TypeExpr] = []
-        todo: list = [ty]
-        while todo:
-            ty = todo.pop()
-            if type(ty) is tuple:
-                node = ty[0]
-                n = len(done) - len(node.args)
-                done[n:] = [replace(node, args=tuple(done[n:]))]
-                continue
-            ty = self.resolve(ty)
-            if isinstance(ty, (SymApp, CtorApp)):
-                todo.append((ty,))
-                todo.extend(reversed(ty.args))
-            else:
-                done.append(ty)
-        return done[0]
-
 
 def _occurs(name: str, ty: TypeExpr, st: _MatchState) -> bool:
     stack = [ty]
     while stack:
-        ty = st.resolve(stack.pop())
+        ty = deref(st.bindings, stack.pop(), TVar)
         if isinstance(ty, TVar) and ty.name == name:
             return True
         if isinstance(ty, (SymApp, CtorApp)):
@@ -100,20 +82,21 @@ def _match(a: TypeExpr, b: TypeExpr, st: _MatchState) -> bool:
     including the rigid type variables of the candidate, acts as a constant.
     Pairs wait on a stack, pushed in reverse, so the leftmost is matched first.
     """
+    bindings = st.bindings
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
-        a, b = st.resolve(a), st.resolve(b)
+        a, b = deref(bindings, a, TVar), deref(bindings, b, TVar)
         if not isinstance(a, (SymApp, CtorApp)) and a == b:  # leaves alone compare by ==
             continue
         if isinstance(a, TVar) and a.name in st.flexible:
             if _occurs(a.name, b, st):
                 return False
-            st.bindings[a.name] = b
+            bindings[a.name] = b
         elif isinstance(b, TVar) and b.name in st.flexible:
             if _occurs(b.name, a, st):
                 return False
-            st.bindings[b.name] = a
+            bindings[b.name] = a
         elif (
             isinstance(a, SymApp) and isinstance(b, SymApp) and a.symbol == b.symbol
             or isinstance(a, CtorApp) and isinstance(b, CtorApp) and a.ctor == b.ctor
@@ -150,7 +133,7 @@ def _check(ctx: Context, sig: SignatureEnv, term: Term, ty: TypeExpr, st: _Match
             ok = _match(ft.codomain, ty, st)
             todo.extend(zip(reversed(term.args), reversed(ft.domain)))
         if not ok:
-            st.failure = (term, st.deep_resolve(ty))
+            st.failure = (term, resolve_store(st.bindings, ty, {}, TVar, rebuild_type))
             return False
     return True
 

@@ -81,17 +81,23 @@ def _alpha_equal_def(a: TypeDef, b: TypeDef) -> bool:
     return renamed == b.summands
 
 
-def _check_summand_shape(ty: TypeExpr, symbol: str, out: list[Violation], top: bool) -> None:
-    if top and not isinstance(ty, CtorApp):
+def _check_summand_shape(summand: TypeExpr, symbol: str, out: list[Violation]) -> None:
+    """A summand is a constructor term, and no type inside it is bool.  The
+    types inside wait on a stack, pushed in reverse, so each bool is
+    reported in preorder, left to right.
+    """
+    if not isinstance(summand, CtorApp):
         out.append(
-            Violation("IllegalSummand", symbol, f"summand {ty!r} is not a constructor term")
+            Violation("IllegalSummand", symbol, f"summand {summand!r} is not a constructor term")
         )
         return
-    if isinstance(ty, Bool):
-        out.append(Violation("IllegalSummand", symbol, "bool cannot appear inside a summand"))
-    elif isinstance(ty, (SymApp, CtorApp)):
-        for arg in ty.args:
-            _check_summand_shape(arg, symbol, out, top=False)
+    stack = list(reversed(summand.args))
+    while stack:
+        ty = stack.pop()
+        if isinstance(ty, Bool):
+            out.append(Violation("IllegalSummand", symbol, "bool cannot appear inside a summand"))
+        elif isinstance(ty, (SymApp, CtorApp)):
+            stack.extend(reversed(ty.args))
 
 
 class TypeDefSet:
@@ -163,7 +169,7 @@ def validate(defs) -> TypeDefSet:
 
         used: set[str] = set()
         for s in d.summands:
-            _check_summand_shape(s, d.symbol, out, top=True)
+            _check_summand_shape(s, d.symbol, out)
             if isinstance(s, CtorApp):
                 if s.ctor != "[]" and not _plain_atom_name(s.ctor):
                     out.append(
@@ -218,19 +224,24 @@ def _plain_atom_name(name: str) -> bool:
 
 
 def _check_symapp_arities(ty: TypeExpr, defs: dict[str, TypeDef], where: str, out: list[Violation]):
-    if isinstance(ty, SymApp):
-        d = defs.get(ty.symbol)
-        if d is not None and len(d.params) != len(ty.args):
-            out.append(
-                Violation(
-                    "IllegalSummand",
-                    where,
-                    f"{ty.symbol} expects {len(d.params)} arguments, got {len(ty.args)}",
+    """Each application of a defined type symbol inside `ty` has its arity,
+    checked in preorder, left to right, as `_check_summand_shape` walks.
+    """
+    stack = [ty]
+    while stack:
+        ty = stack.pop()
+        if isinstance(ty, SymApp):
+            d = defs.get(ty.symbol)
+            if d is not None and len(d.params) != len(ty.args):
+                out.append(
+                    Violation(
+                        "IllegalSummand",
+                        where,
+                        f"{ty.symbol} expects {len(d.params)} arguments, got {len(ty.args)}",
+                    )
                 )
-            )
-    if isinstance(ty, (SymApp, CtorApp)):
-        for a in ty.args:
-            _check_symapp_arities(a, defs, where, out)
+        if isinstance(ty, (SymApp, CtorApp)):
+            stack.extend(reversed(ty.args))
 
 
 # --- signature environment ---------------------------------------------------

@@ -80,8 +80,6 @@ RECURSIVE = {
     "parser._resolve_type",
     "pretty.pp_term",
     "pretty.pp_type",
-    "typedefs._check_summand_shape",
-    "typedefs._check_symapp_arities",
 }
 
 
@@ -143,7 +141,6 @@ GENERATED_WALKS = {
     "syntax.FuncType",
     "syntax.SymApp",
     "syntax.TypeScheme",
-    "typecheck._MatchState",
     "typedefs.SignatureEnv",
     "typedefs.TypeDef",
 }

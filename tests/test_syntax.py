@@ -1,5 +1,7 @@
 """Structural operations on terms and type expressions."""
 
+import time
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +23,14 @@ from regunify import (
     mk_int,
     mk_list,
 )
-from regunify.syntax import FuncType, tree_counts
+from regunify.syntax import (
+    FuncType,
+    deref,
+    rebuild_term,
+    rebuild_type,
+    resolve_store,
+    tree_counts,
+)
 
 INT = Base("int")
 
@@ -111,6 +120,96 @@ def test_apply_type_subst_on_deep_types():
     got = apply_type_subst({"A": INT}, shared)
     assert got.args[0] is got.args[1]
     assert free_type_vars(got) == []
+
+
+def test_substitution_is_simultaneous_for_terms_and_types():
+    # a binding is not read again, so a swap swaps; the memo replay's
+    # renaming of type variables relies on it
+    t = Compound("f", (Var("X"), Compound("g", (Var("Y"),))))
+    assert apply_subst({"X": Var("Y"), "Y": Var("X")}, t) == Compound(
+        "f", (Var("Y"), Compound("g", (Var("X"),)))
+    )
+    ty = SymApp("pair", (TVar("A"), SymApp("list", (TVar("B"),))))
+    assert apply_type_subst({"A": TVar("B"), "B": TVar("A")}, ty) == SymApp(
+        "pair", (TVar("B"), SymApp("list", (TVar("A"),)))
+    )
+
+
+# --- triangular stores -------------------------------------------------------------
+
+
+def test_deref_follows_a_long_chain_and_compresses_it():
+    n = 100_000
+    store = {f"X{i}": Var(f"X{i + 1}") for i in range(n)}
+    end = store[f"X{n - 1}"]
+    assert deref(store, Var("X0"), Var) is end
+    assert all(store[f"X{i}"] is end for i in range(n))  # each one step from the end
+    assert deref(store, mk_int(1), Var) == mk_int(1)
+    assert deref({"A": INT}, TVar("A"), TVar) is INT
+    assert deref({"A": INT}, Var("A"), TVar) == Var("A")  # another family's variable
+
+
+def test_resolve_store_reads_a_deep_binding():
+    # 10**4 levels, past the interpreter's recursion limit, ending in a
+    # variable bound through a chain
+    deep = Var("Y")
+    for _ in range(10_000):
+        deep = Compound("f", (deep, mk_int(0)))
+    store = {"X": deep, "Y": Var("Z"), "Z": mk_atom("a")}
+    got = resolve_store(store, Var("X"), {}, Var, rebuild_term)
+    for _ in range(10_000):  # compared level by level: == would recurse
+        assert got.functor == "f" and got.args[1] == mk_int(0)
+        got = got.args[0]
+    assert got == mk_atom("a")
+
+
+def test_resolve_store_keeps_what_nothing_bound_is_under():
+    t = Compound("f", (Compound("g", (Var("Z"),)), mk_atom("a")))
+    assert resolve_store({"X": mk_int(1)}, t, {}, Var, rebuild_term) is t
+    ty = SymApp("list", (CtorApp("cons", (TVar("B"), INT)),))
+    assert resolve_store({"A": INT}, ty, {}, TVar, rebuild_type) is ty
+    got = resolve_store({"A": INT}, SymApp("pair", (TVar("A"), ty)), {}, TVar, rebuild_type)
+    assert got == SymApp("pair", (INT, ty)) and got.args[1] is ty
+
+
+def test_resolve_store_makes_a_shared_subterm_one_object_under_one_memo():
+    shared = Compound("h", (Var("Z"),))
+    store = {"X": Compound("f", (shared,)), "Y": Compound("g", (shared,)), "Z": mk_int(1)}
+    memo: dict = {}
+    x = resolve_store(store, Var("X"), memo, Var, rebuild_term)
+    y = resolve_store(store, Var("Y"), memo, Var, rebuild_term)
+    assert x.args[0] == Compound("h", (mk_int(1),)) and x.args[0] is y.args[0]
+
+
+# --- repr ----------------------------------------------------------------------------
+
+
+def test_repr_is_the_dataclass_text():
+    t = Compound("f", (Var("X"), Compound("g", (mk_int(1),))))
+    assert repr(t) == (
+        "Compound(functor='f', args=(Var(name='X'), "
+        "Compound(functor='g', args=(Const(symbol=1, kind='int'),))))"
+    )
+    assert repr(SymApp("list", (CtorApp("[]"),))) == (
+        "SymApp(symbol='list', args=(CtorApp(ctor='[]', args=()),))"
+    )
+
+
+def test_repr_of_huge_trees_is_cut_and_fast():
+    # a 60-level g(s, s) stands for a tree of 2**61 - 1 nodes, and a 10**4
+    # deep term is past the interpreter's recursion limit
+    shared = mk_atom("s")
+    for _ in range(60):
+        shared = Compound("g", (shared, shared))
+    deep = TVar("A")
+    for _ in range(10_000):
+        deep = CtorApp("f", (deep,))
+    for node, start in (deep, "CtorApp(ctor='f'"), (shared, "Compound(functor='g', args=(Compound("):
+        began = time.perf_counter()
+        text = repr(node)
+        assert time.perf_counter() - began < 0.5
+        assert text.startswith(start) and text.endswith("...")
+        assert len(text) < 20_000
 
 
 def test_free_vars():

@@ -95,6 +95,45 @@ def test_bool_inside_summand_rejected():
     assert "IllegalSummand" in {v.kind for v in exc.value.violations}
 
 
+def test_summand_violations_keep_their_order():
+    # each check reports in preorder, left to right, and the shape check
+    # runs per summand before the arity check runs over every definition
+    pair = TypeDef("p", ("A", "B"), (CtorApp("mk", (TVar("A"), TVar("B"))),))
+    summand = CtorApp(
+        "c",
+        (
+            SymApp("list", (TVar("A"), Bool())),
+            SymApp("p", (TVar("A"),)),
+            CtorApp("d", (SymApp("list", ()), Bool())),
+        ),
+    )
+    with pytest.raises(TypeValidationError) as exc:
+        validate((pair, TypeDef("t", ("A",), (summand, SymApp("list", (TVar("A"),))))))
+    assert [str(v) for v in exc.value.violations] == [
+        "IllegalSummand in t: bool cannot appear inside a summand",
+        "IllegalSummand in t: bool cannot appear inside a summand",
+        "IllegalSummand in t: summand SymApp(symbol='list', args=(TVar(name='A'),))"
+        " is not a constructor term",
+        "IllegalSummand in t: list expects 1 arguments, got 2",
+        "IllegalSummand in t: p expects 2 arguments, got 1",
+        "IllegalSummand in t: list expects 1 arguments, got 0",
+    ]
+
+
+def test_deep_summands_are_checked_without_recursion():
+    # 5 000 levels, past the interpreter's recursion limit
+    deep, bad = TVar("A"), Bool()
+    for _ in range(5_000):
+        deep = SymApp("list", (deep,))
+        bad = SymApp("list", (bad,))
+    assert "t" in validate((TypeDef("t", ("A",), (CtorApp("c", (deep,)),)),))
+    with pytest.raises(TypeValidationError) as exc:
+        validate((TypeDef("u", (), (CtorApp("c", (bad,)),)),))
+    assert [str(v) for v in exc.value.violations] == [
+        "IllegalSummand in u: bool cannot appear inside a summand"
+    ]
+
+
 def test_valid_tree(tree_defs):
     assert set(tree_defs.symbols()) >= {"list", "tree"}
 
