@@ -22,10 +22,9 @@ for good, so the context passed on drops it: like a WAM's environment
 trimming, a step then costs what its live variables cost, not what the whole
 derivation so far has renamed.  A goal's variables not met before (the
 query's, and those only a clause body held) get their generic type once per
-goal, and each renamed clause head adds its own variables.  Only the goal's
-arguments without a closed type (see below) are walked for its variables:
-a closed type proves its argument ground, so `app`'s goal context costs
-its variables, not its list.
+goal, and each renamed clause head adds its own variables.  A ground
+argument is not walked for its variables (`syntax.is_ground`, read once per
+node), so `app`'s goal context costs its variables, not its list.
 
 A clause try's type phase depends only on the clause and on the types of
 the goal's arguments, so the search keeps a memo of type phases for one
@@ -71,7 +70,11 @@ an empty head context, at no walk.  A state does not carry the answer
 either: it links its step's term unifier to its parent's in a trail, and
 the query's variables are resolved through the trail once, at the answer
 (`_compose`), by the store reader the solver uses (`syntax.resolve_store`),
-where composing the answer at every step re-walked it.
+where composing the answer at every step re-walked it.  Nor does a step
+walk the ground terms it passes on: substitution, the solver's occurrence
+counts and its unifier stop at a ground node, so a memo-hit `app` step
+costs the same at any length of its list, and a pending goal that holds a
+large ground term costs nothing per step.
 
 A goal `t1 = t2` is solved by typed unification directly instead of clause
 search.  `is` and other unknown predicates have no special meaning: they
@@ -107,6 +110,7 @@ from .syntax import (
     apply_type_subst,
     free_type_vars,
     free_vars,
+    is_ground,
     rebuild_term,
     resolve_store,
 )
@@ -334,20 +338,18 @@ class _Search:
                 stack.append(self.tries(goals, trail, var_types, depth, query))
         return None
 
-    def goal_context(self, goal: Term, closed, var_types: Context) -> Context:
+    def goal_context(self, goal: Term, var_types: Context) -> Context:
         """The goal's variables' types: the derivation's, and for one not
-        met before its generic type, in first-occurrence order.  Only the
-        arguments without a closed type (`closed`, each argument's
-        `ClosedTypes.of`, read once per node) are walked, since a closed
-        type proves its argument ground; so a goal costs its variables, not
-        its ground arguments.
+        met before its generic type, in first-occurrence order.  A ground
+        argument (`is_ground`, read once per node) is not walked, so a goal
+        costs its variables, not its ground arguments.
         """
         ctx: Context = {}
-        for arg, got in zip(goal.args if type(goal) is Compound else (), closed):
+        for arg in goal.args if type(goal) is Compound else ():
             kind = type(arg)
             if kind is Var:
                 names = (arg.name,)
-            elif kind is Compound and got is None:
+            elif kind is Compound and not is_ground(arg):
                 names = free_vars(arg)
             else:
                 continue
@@ -377,7 +379,7 @@ class _Search:
         # the goal's variables keep the types the derivation gave them; one
         # not met before gets its generic type
         closed = tuple(map(self.closed.of, goal.args)) if type(goal) is Compound else ()
-        goal_ctx = self.goal_context(goal, closed, var_types)
+        goal_ctx = self.goal_context(goal, var_types)
         memo = None
         if clauses[0] is not None and closed:
             memo = self.goal_key(goal, closed, goal_ctx)

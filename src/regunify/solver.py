@@ -26,7 +26,8 @@ The engine (_Phase) runs these rules without doing what eliminate says
 literally: it binds v to s in a triangular store and reads every
 constraint through it, with the store readers that resolution and the
 checker share (`syntax.deref` and `syntax.resolve_store`), so the
-substitution is made only where a state, a witness or a unifier is built.
+substitution is made only where a state, a witness or a unifier is built,
+and it counts and reads no ground node's inside.
 Every step, trace state and result is the one the rules as stated give.
 """
 
@@ -54,6 +55,7 @@ from .syntax import (
     rebuild_type,
     resolve_store,
     tree_counts,
+    var_counts,
 )
 from .constraints import (
     ConstraintState,
@@ -246,7 +248,15 @@ class _Phase:
     it first comes up; a run that ends before that never counts, lists or
     binds.  The count of what a binding stands for is kept with it
     (_binding_counts), so eliminating v = s walks s as written, not the
-    tree it stands for.  With a trace, the object made for each constraint
+    tree it stands for.  No count, and no read through the store, enters a
+    node known to be ground (`syntax.is_ground`, kept on the node for its
+    life once asked): no variable occurs there, so the census and
+    _counts_under (`syntax.var_counts`) skip it, and the store reader
+    returns it as it is.  The phase asks of no node itself, since a walk to
+    find out costs what it would save within one solve; resolution asks of
+    the terms it passes from step to step (goal arguments, substituted
+    goals).  So a step that passes on a large ground side, as each step of
+    `app` passes on the rest of its list, costs what its variables cost.  With a trace, the object made for each constraint
     is kept until a binding reaches it, through an index from each variable
     to the constraints that may hold it; without one, there is no index,
     and the objects are kept until the first binding.
@@ -281,17 +291,17 @@ class _Phase:
 
     def _counts_under(self, roots) -> dict[str, int]:
         """Occurrences of each variable in the trees that `roots` stand for
-        under the store, counted as syntax.tree_counts counts them: a subterm
-        shared by several parents counts once per path that reaches it.  The
-        walk stops at bound variables, each of which counts as the tree its
-        binding stands for (_binding_counts).  Roots that are all leaves are
-        read directly.
+        under the store, counted as syntax.var_counts counts them: a subterm
+        shared by several parents counts once per path that reaches it, and
+        one known to be ground is not entered.  The walk stops at bound variables,
+        each of which counts as the tree its binding stands for
+        (_binding_counts).  Roots that are all leaves are read directly.
         """
         counts: dict[str, int] = {}
         var = self.var
         for node in roots:
             if getattr(node, "args", None):
-                counts = tree_counts(roots)[0]
+                counts = var_counts(roots)
                 break
             if type(node) is var:
                 counts[node.name] = counts.get(node.name, 0) + 1
@@ -379,7 +389,7 @@ class _Phase:
         """Count the variables of the live constraints and list their tops.
         With a trace, also index each constraint under the variables its
         count finds.  The store is still empty, and each constraint is
-        walked once.
+        walked once, up to the nodes known to be ground.
         """
         rules, var = self.rules, self.var
         tops, live, sides = {}, [], []
@@ -392,7 +402,7 @@ class _Phase:
                     tops.setdefault(rhs.name, []).append(cid)
         self.tops = tops
         if self.index is None:
-            self.counts = tree_counts(sides)[0]
+            self.counts = var_counts(sides)
             return
         counts = self.counts = {}
         for cid in live:

@@ -7,12 +7,24 @@ term constructors used as type terms.  Both families are immutable and
 hashable so they can sit in sets, dict keys, and constraint multisets.
 Nodes hold only their structure and carry no source positions: the parser
 reports a position from its tokens.
+
+Each node also knows whether a variable occurs in it (`is_ground`): a
+leaf's class says, and an application's answer is read once and kept on
+the node, outside its fields.  Every walk here that looks for variables
+(`free_vars`, substitution, the store reader and the solver's occurrence
+counts) stops at a ground node, so a large ground term that a derivation
+passes on from step to step costs nothing per step.  `free_vars` and
+substitution ask of the applications they meet, and so fill the fact for
+all they walk; the store reader and the occurrence counts, which the
+solver runs, read only what is known (`ground` true), since within one
+solve a fill would cost as much as the walk it saves.  Only `tree_counts`
+walks ground nodes too, since the size it gives is the whole trees'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import is_
+from operator import attrgetter, is_
 from typing import Union
 
 
@@ -189,6 +201,48 @@ TypeExpr = Union[TVar, Base, Bool, SymApp, CtorApp]
 
 _APPS = (Compound, SymApp, CtorApp)
 
+# Whether no variable occurs in a node: a leaf's class says, and an
+# application's is None, not known, until `is_ground` reads it and keeps it
+# on the node.
+# These are class attributes, not fields, so equality, hashing and printing
+# never see them, and building a node costs no more.
+Var.ground = TVar.ground = False
+Const.ground = Base.ground = Bool.ground = True
+Compound.ground = SymApp.ground = CtorApp.ground = None
+
+_ground = attrgetter("ground")
+
+
+def is_ground(node) -> bool:
+    """Whether no variable occurs in the term or type `node`.
+
+    An application is read once in its life: the answer is kept on it, and
+    the walk that finds it, with a stack of its own, fills every
+    application below it not filled before, so below a node whose answer is
+    known every answer is known, and a walk that has asked at a node may
+    read `ground` off the nodes under it.
+    """
+    known = node.ground
+    if known is not None:
+        return known
+    if None not in map(_ground, node.args):  # every argument known already
+        known = all(map(_ground, node.args))
+        object.__setattr__(node, "ground", known)
+        return known
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if top.ground is not None:  # a shared node, filled since it was queued
+            stack.pop()
+            continue
+        todo = [kid for kid in top.args if kid.ground is None]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        object.__setattr__(top, "ground", all(map(_ground, top.args)))
+    return node.ground
+
 INT = Base("int")
 FLOAT = Base("float")
 STRING = Base("string")
@@ -280,10 +334,13 @@ def _substitute(subst: dict, node, var: type, rebuild):
     arguments' images so far, so each application is read once.  A node
     under which no variable is bound is returned as it is, and a node shared
     by several parents is rebuilt once: `done` maps the id of each node
-    closed so far to its image.
+    closed so far to its image.  A ground node is not entered: each
+    application met below `node` is asked (is_ground), so a term passed on
+    from call to call is read once; `node` itself is not, since a call on a
+    node built anew asks nothing of its variables' arguments.
     """
-    if not subst or not getattr(node, "args", None):
-        return node  # a constant, a base type, bool, a nullary application
+    if not subst or not getattr(node, "args", None) or node.ground:
+        return node  # a constant, a base type, bool, an application known ground
     done: dict = {}
     nodes, news = [node], [[]]
     while True:
@@ -292,7 +349,7 @@ def _substitute(subst: dict, node, var: type, rebuild):
         for arg in args[len(new) :]:  # resumed after the argument just closed
             if type(arg) is var:
                 new.append(subst.get(arg.name, arg))
-            elif not getattr(arg, "args", None):
+            elif arg.ground or arg.ground is None and is_ground(arg):
                 new.append(arg)
             elif id(arg) in done:
                 new.append(done[id(arg)])
@@ -341,15 +398,17 @@ def resolve_store(store: dict, node, memo: dict, var: type, rebuild):
 
     Iterative, so a binding of any depth costs no Python stack.  Returns
     `node` itself when no bound variable occurs in it, so what the store
-    leaves alone stays shared.  `memo` maps the id of each application and
-    the name of each bound variable already done to its result; sharing it
-    over several nodes keeps a subterm they share one object.
+    leaves alone stays shared; a node known to be ground (its `ground`
+    true, see is_ground) is returned as it is without a walk.  `memo` maps
+    the id of each application and the name of each bound variable already
+    done to its result; sharing it over several nodes keeps a subterm they
+    share one object.
     """
     if type(node) is var:
         if node.name not in store:
             return node
         node = deref(store, node, var)
-    if not store or not getattr(node, "args", None):
+    if not store or not getattr(node, "args", None) or node.ground:
         return node
 
     stack = [node]
@@ -363,7 +422,7 @@ def resolve_store(store: dict, node, memo: dict, var: type, rebuild):
         new, todo, same = [], False, True
         for kid in args or (store[key],):
             if getattr(kid, "args", None):
-                got = memo.get(id(kid))
+                got = kid if kid.ground else memo.get(id(kid))
             elif type(kid) is var and kid.name in store:
                 got = memo.get(kid.name)
             else:
@@ -388,7 +447,8 @@ def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:
     """Distinct variable names of a term, type expression or function type,
     in first-occurrence order.  Iterative, and a compound shared by several
     parents is walked once: the preorder walk meets all of its names at its
-    first visit, so skipping the later ones keeps the order.
+    first visit, so skipping the later ones keeps the order.  A ground node
+    (is_ground) is not entered.
     """
     names: dict[str, None] = {}
     walked: set[int] = set()
@@ -402,7 +462,7 @@ def free_vars(node: Union[Term, TypeExpr, FuncType]) -> list[str]:
             stack.append(node.codomain)
             stack.extend(reversed(node.domain))
         elif kind is Compound or kind is SymApp or kind is CtorApp:
-            if node.args and id(node) not in walked:
+            if node.args and id(node) not in walked and not is_ground(node):
                 walked.add(id(node))
                 stack.extend(reversed(node.args))
     return list(names)
@@ -413,7 +473,25 @@ free_type_vars = free_vars
 
 def tree_counts(roots) -> tuple[dict[str, int], int]:
     """Occurrences of each variable name, and the number of nodes, in the
-    trees that the terms or type expressions `roots` denote.
+    trees that the terms or type expressions `roots` denote.  Every node is
+    walked, ground or not, since the size is the whole trees' (it sizes the
+    solver's rewrite budget); var_counts gives the counts alone for less.
+    """
+    return _path_counts(roots, False)
+
+
+def var_counts(roots) -> dict[str, int]:
+    """Occurrences of each variable name in the trees that the terms or
+    type expressions `roots` denote, as tree_counts counts them, without
+    entering a node known to be ground (its `ground` true, see is_ground),
+    where none occurs.
+    """
+    return _path_counts(roots, True)[0]
+
+
+def _path_counts(roots, skip_ground: bool) -> tuple[dict[str, int], int]:
+    """tree_counts of `roots`; with `skip_ground`, no node known to be
+    ground is entered, and the size counts each as one node.
 
     A subterm shared by several parents counts once per path that reaches
     it, as if the trees were copied out, but it is visited only once.  The
@@ -432,6 +510,8 @@ def tree_counts(roots) -> tuple[dict[str, int], int]:
         for node in stack.pop():
             size += 1
             if getattr(node, "args", None):
+                if skip_ground and node.ground:
+                    continue
                 key = id(node)
                 if key in edges:
                     edges[key] += 1
@@ -451,6 +531,8 @@ def tree_counts(roots) -> tuple[dict[str, int], int]:
         size += len(args) * weight
         for node in args:
             if getattr(node, "args", None):
+                if skip_ground and node.ground:
+                    continue
                 key = id(node)
                 paths[key] = paths.get(key, 0) + weight
                 edges[key] -= 1
@@ -459,4 +541,3 @@ def tree_counts(roots) -> tuple[dict[str, int], int]:
             elif isinstance(node, (Var, TVar)):
                 counts[node.name] = counts.get(node.name, 0) + weight
     return counts, size
-

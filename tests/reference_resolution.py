@@ -8,8 +8,9 @@ reports wrong if any branch clashed on types, false if every branch ran to a
 plain false with no goals left, and unknown otherwise.
 
 It shares no code with `regunify.resolution` or with the package's
-constraint generation and variable collection, and reports plain tuples, so
-the differential tests can hold `resolve` to it field by field.
+constraint generation, variable collection and substitution (it substitutes
+with the reference solver's full walk), and reports plain tuples, so the
+differential tests can hold `resolve` to it field by field.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from __future__ import annotations
 from regunify.constraints import ConstraintState, FreshSupply, TermConstraint, TypeConstraint
 from regunify.errors import UnboundVariable
 from regunify.solver import Solved, SolveFalse, SolveWrong, solve
-from regunify.syntax import Compound, Const, Var, apply_subst, apply_type_subst
+from regunify.syntax import Compound, Const, Var
 from regunify.typedefs import derive_signatures, instantiate
+
+from reference_solver import substitute
 
 
 def _term_vars(term, acc):
@@ -67,11 +70,11 @@ def _rename(clause, fresh):
         for name in _free_vars(t):
             if name not in mapping:
                 mapping[name] = fresh.var(f"{name}_")
-    return apply_subst(mapping, clause.head), tuple(apply_subst(mapping, g) for g in clause.body)
+    return substitute(mapping, clause.head), tuple(substitute(mapping, g) for g in clause.body)
 
 
 def _compose(first, second):
-    out = {name: apply_subst(second, t) for name, t in first.items()}
+    out = {name: substitute(second, t) for name, t in first.items()}
     for name, t in second.items():
         out.setdefault(name, t)
     return out
@@ -178,8 +181,8 @@ class _Search:
             return None
         self.note(depth, goal, against, "solved", final, via)
         new_subst = _compose(subst, result.subst)
-        new_goals = tuple(apply_subst(result.subst, g) for g in (*body, *rest))
-        new_types = {name: apply_type_subst(result.type_subst, ty) for name, ty in ctx.items()}
+        new_goals = tuple(substitute(result.subst, g) for g in (*body, *rest))
+        new_types = {name: substitute(result.type_subst, ty) for name, ty in ctx.items()}
         return self.run(new_goals, new_subst, new_types, depth + 1)
 
 

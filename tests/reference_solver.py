@@ -5,7 +5,9 @@ the lowest applicable rule (leftmost among equals) and rewrites by copying,
 exactly as the rules are stated.  It is slow on purpose and shares no code
 with `regunify.solver`, whose incremental engine the differential tests hold
 to this one: same steps, same rule and target per step, same states, same
-result.
+result.  Nor does it share the package's substitution: `substitute` below
+walks every node, ground or not, so a walk of the package's that stops early
+is held to one that does not.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from regunify.constraints import ConstraintState, TermConstraint, TypeConstraint
 from regunify.syntax import (
     Base,
     Bool,
+    Compound,
     Const,
+    CtorApp,
     SymApp,
     TVar,
     Var,
-    apply_subst,
-    apply_type_subst,
 )
 
 
@@ -38,6 +40,38 @@ class RefRun:
     subst: Optional[dict] = None
     type_subst: Optional[dict] = None
     witness: object = None
+
+
+def substitute(binding: dict, node):
+    """`node`, a term or a type, with every variable `binding` binds replaced
+    by its binding, all at once.  Every node is walked, with a stack, and a
+    node is rebuilt only where an argument changed.
+    """
+    out = []  # the images of the nodes closed so far, in order
+    stack = [(node, False)]
+    while stack:
+        node, closing = stack.pop()
+        kind = type(node)
+        if kind is Var or kind is TVar:
+            out.append(binding.get(node.name, node))
+        elif kind not in (Compound, SymApp, CtorApp) or not node.args:
+            out.append(node)
+        elif not closing:
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in reversed(node.args))
+        else:
+            n = len(node.args)
+            args = tuple(out[-n:])
+            del out[-n:]
+            if all(a is b for a, b in zip(args, node.args)):
+                out.append(node)
+            elif kind is Compound:
+                out.append(Compound(node.functor, args))
+            elif kind is SymApp:
+                out.append(SymApp(node.symbol, args))
+            else:
+                out.append(CtorApp(node.ctor, args))
+    return out[0]
 
 
 def _type_head(ty):
@@ -163,7 +197,7 @@ def _apply_type_rule(rule, i, types):
         for j, other in enumerate(types):
             if j != i:
                 types[j] = TypeConstraint(
-                    apply_type_subst(binding, other.lhs), apply_type_subst(binding, other.rhs)
+                    substitute(binding, other.lhs), substitute(binding, other.rhs)
                 )
     else:  # rules 3 and 6
         return c
@@ -183,7 +217,7 @@ def _apply_term_rule(rule, i, terms):
         for j, other in enumerate(terms):
             if j != i:
                 terms[j] = TermConstraint(
-                    apply_subst(binding, other.lhs), apply_subst(binding, other.rhs)
+                    substitute(binding, other.lhs), substitute(binding, other.rhs)
                 )
     else:  # rules 9 and 12
         return c

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import regunify
 from regunify import Base, Bool, Compound, Const, CtorApp, SymApp, Term, TVar, Var
+from regunify.syntax import is_ground
 
 SRC = Path(regunify.__file__).parent
 
@@ -161,6 +162,29 @@ def test_nodes_hold_only_their_structure():
         "SymApp": ["symbol", "args"],
         "CtorApp": ["ctor", "args"],
     }
+
+
+def test_groundness_is_read_by_the_walks_and_is_no_field():
+    # every node also answers `ground`, which the walks that look for
+    # variables read to stop at a ground node (`syntax.is_ground`).  It is
+    # a class attribute, not a field: a leaf's class answers, and an
+    # application's answer is None until first asked, then kept on the
+    # node, so building a node costs nothing more, and equality, hashing
+    # and printing never see it
+    assert {cls.__name__: cls.__dict__["ground"] for cls in _NODES} == {
+        "Var": False,
+        "Const": True,
+        "Compound": None,
+        "TVar": False,
+        "Base": True,
+        "Bool": True,
+        "SymApp": None,
+        "CtorApp": None,
+    }
+    asked, fresh = Compound("f", (Var("X"), Const(1, "int"))), Compound("f", (Var("X"), Const(1, "int")))
+    assert is_ground(asked) is False and asked.ground is False and fresh.ground is None
+    assert asked == fresh and hash(asked) == hash(fresh) and repr(asked) == repr(fresh)
+    assert is_ground(SymApp("list", (Base("int"),))) and is_ground(CtorApp("nil"))
 
 
 def _generated_walks(classes):
