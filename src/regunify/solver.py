@@ -256,7 +256,8 @@ class _Phase:
     find out costs what it would save within one solve; resolution asks of
     the terms it passes from step to step (goal arguments, substituted
     goals).  So a step that passes on a large ground side, as each step of
-    `app` passes on the rest of its list, costs what its variables cost.  With a trace, the object made for each constraint
+    `app` passes on the rest of its list, costs what its variables cost.
+    With a trace, the object made for each constraint
     is kept until a binding reaches it, through an index from each variable
     to the constraints that may hold it; without one, there is no index,
     and the objects are kept until the first binding.
@@ -293,8 +294,8 @@ class _Phase:
         """Occurrences of each variable in the trees that `roots` stand for
         under the store, counted as syntax.var_counts counts them: a subterm
         shared by several parents counts once per path that reaches it, and
-        one known to be ground is not entered.  The walk stops at bound variables,
-        each of which counts as the tree its binding stands for
+        one known to be ground is not entered.  The walk stops at bound
+        variables, each of which counts as the tree its binding stands for
         (_binding_counts).  Roots that are all leaves are read directly.
         """
         counts: dict[str, int] = {}

@@ -203,9 +203,8 @@ _APPS = (Compound, SymApp, CtorApp)
 
 # Whether no variable occurs in a node: a leaf's class says, and an
 # application's is None, not known, until `is_ground` reads it and keeps it
-# on the node.
-# These are class attributes, not fields, so equality, hashing and printing
-# never see them, and building a node costs no more.
+# on the node.  These are class attributes, not fields, so equality, hashing
+# and printing never see them, and building a node costs no more.
 Var.ground = TVar.ground = False
 Const.ground = Base.ground = Bool.ground = True
 Compound.ground = SymApp.ground = CtorApp.ground = None

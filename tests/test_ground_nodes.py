@@ -264,11 +264,13 @@ def test_one_ground_list_bound_many_times_stays_one_object():
 
 
 def _long_pair(n):
-    """[c1..cn] = [X1..Xn]: decompose, then orient, at every element."""
-    return (
-        mk_list([mk_atom(f"c{i}") for i in range(1, n + 1)]),
-        mk_list([Var(f"X{i}") for i in range(1, n + 1)]),
-    )
+    """[c1..cn] = [X1..Xn]: decompose, then orient, at every element.  The
+    ground side is known to be ground, as resolution leaves a goal's
+    arguments, so a walk that stops at ground nodes would stop there.
+    """
+    ground = mk_list([mk_atom(f"c{i}") for i in range(1, n + 1)])
+    assert syntax.is_ground(ground)
+    return ground, mk_list([Var(f"X{i}") for i in range(1, n + 1)])
 
 
 def test_a_budget_past_the_cheap_bound_is_sized_by_the_whole_trees():
