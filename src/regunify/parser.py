@@ -289,7 +289,7 @@ class _Parser:
         )
 
     def typedef(self) -> tuple:
-        """`symbol(params) --> summands.` as a (symbol, params, raw summands) triple."""
+        """`symbol(params) --> summands.` as a (symbol token, params, raw summands) triple."""
         head = self.expect("ATOM", "type symbol")
         params: tuple[str, ...] = ()
         if self.at("LPAREN"):
@@ -297,7 +297,7 @@ class _Parser:
         self.expect("ARROW2", "'-->'")
         summands = self.sep(self.raw_type, "PLUS")
         self.expect("DOT", "'.' at end of definition")
-        return head.value, params, summands
+        return head, params, summands
 
 
 _RESERVED_TYPE_NAMES = set(BASE_KINDS) | {"bool"}
@@ -376,13 +376,13 @@ def parse_typedefs(text: str, source: str = "<types>") -> list[TypeDef]:
     while not p.at("EOF"):
         raw_defs.append(p.typedef())
     symbols = _symbols(None)
-    for symbol, params, _ in raw_defs:
-        if symbol in _RESERVED_TYPE_NAMES:
-            raise ParseError(f"{symbol} is a reserved type name")
-        symbols[symbol] = len(params)
+    for head, params, _ in raw_defs:
+        if head.value in _RESERVED_TYPE_NAMES:
+            raise ParseError(f"{head.value} is a reserved type name", head.span)
+        symbols[head.value] = len(params)
     return [
-        TypeDef(symbol, params, tuple(_resolve_type(s, symbols) for s in summands))
-        for symbol, params, summands in raw_defs
+        TypeDef(head.value, params, tuple(_resolve_type(s, symbols) for s in summands))
+        for head, params, summands in raw_defs
     ]
 
 

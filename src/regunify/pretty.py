@@ -3,6 +3,8 @@
 Printing round-trips with the parser: parse(pp_term(t)) == t for any term the
 syntax can express, and likewise for types.  Lists re-sugar to [a, b | T]
 notation and `+`/2 prints infix; other operators print in functional form.
+Each printer is a front over `syntax.write`, given a private function that
+spells one node, so a node of any depth prints without the Python stack.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import re
 
 from .syntax import (
+    NIL,
     Base,
     Bool,
     Compound,
@@ -20,6 +23,7 @@ from .syntax import (
     TypeExpr,
     Var,
     free_type_vars,
+    write,
 )
 
 _PLAIN_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -33,9 +37,13 @@ def _atom_text(name: str) -> str:
 
 
 def pp_term(term: Term) -> str:
-    if isinstance(term, Var):
+    return write(term, _term_parts)
+
+
+def _term_parts(term: Term):
+    if type(term) is Var:
         return term.name
-    if isinstance(term, Const):
+    if type(term) is Const:
         if term.kind == "string":
             escaped = str(term.symbol).replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"'
@@ -43,26 +51,20 @@ def pp_term(term: Term) -> str:
             return _atom_text(str(term.symbol))
         return repr(term.symbol)
     if term.functor == "cons" and term.arity == 2:
-        return _pp_list(term)
+        items = []
+        while type(term) is Compound and term.functor == "cons" and term.arity == 2:
+            items.append(term.args[0])
+            term = term.args[1]
+        if term == NIL:
+            return "[", tuple(items), "]"
+        return "[", tuple(items), " | ", term, "]"
     if term.functor == "+" and term.arity == 2:
         # + parses left-associative, so a right-nested sum needs parentheses
-        right = pp_term(term.args[1])
-        rarg = term.args[1]
-        if isinstance(rarg, Compound) and rarg.functor == "+" and rarg.arity == 2:
-            right = f"({right})"
-        return f"{pp_term(term.args[0])} + {right}"
-    args = ", ".join(pp_term(a) for a in term.args)
-    return f"{_atom_text(term.functor)}({args})"
-
-
-def _pp_list(term: Term) -> str:
-    items = []
-    while isinstance(term, Compound) and term.functor == "cons" and term.arity == 2:
-        items.append(pp_term(term.args[0]))
-        term = term.args[1]
-    if isinstance(term, Const) and term == Const("[]", "atom"):
-        return f"[{', '.join(items)}]"
-    return f"[{', '.join(items)} | {pp_term(term)}]"
+        left, right = term.args
+        if type(right) is Compound and right.functor == "+" and right.arity == 2:
+            return left, " + (", right, ")"
+        return left, " + ", right
+    return f"{_atom_text(term.functor)}(", term.args, ")"
 
 
 def pp_goal(goal: Term) -> str:
@@ -74,19 +76,20 @@ def pp_goal(goal: Term) -> str:
 
 
 def pp_type(ty: TypeExpr) -> str:
-    if isinstance(ty, TVar):
+    return write(ty, _type_parts)
+
+
+def _type_parts(ty: TypeExpr):
+    if type(ty) is TVar:
         return ty.name
-    if isinstance(ty, Base):
+    if type(ty) is Base:
         return ty.kind
-    if isinstance(ty, Bool):
+    if type(ty) is Bool:
         return "bool"
-    if isinstance(ty, SymApp):
-        if not ty.args:
-            return ty.symbol
-        return f"{ty.symbol}({', '.join(pp_type(a) for a in ty.args)})"
+    name = ty.symbol if type(ty) is SymApp else _atom_text(ty.ctor)
     if not ty.args:
-        return "[]" if ty.ctor == "[]" else _atom_text(ty.ctor)
-    return f"{_atom_text(ty.ctor)}({', '.join(pp_type(a) for a in ty.args)})"
+        return name
+    return f"{name}(", ty.args, ")"
 
 
 def pp_subst(subst: dict[str, Term]) -> str:

@@ -77,8 +77,10 @@ costs the same at any length of its list, and a pending goal that holds a
 large ground term costs nothing per step.
 
 A goal `t1 = t2` is solved by typed unification directly instead of clause
-search.  `is` and other unknown predicates have no special meaning: they
-simply find no matching clauses.
+search; a side with a closed type adds that type, as a try's argument does
+(`_Search.arg_type`), so a ground side is not walked for its type.  `is`
+and other unknown predicates have no special meaning: they simply find no
+matching clauses.
 """
 
 from __future__ import annotations
@@ -87,13 +89,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .constraints import (
-    ClosedTypes,
-    Context,
-    FreshSupply,
-    gen_columns,
-    gen_equation_columns,
-)
+from .constraints import ClosedTypes, Context, FreshSupply, gen_columns
 from .solver import Solved, SolveFalse, SolveWrong, columns, solve_columns
 from .syntax import (
     Compound,
@@ -391,7 +387,10 @@ class _Search:
             if clause is None:
                 against, body, via, ctx = None, (), "equality", goal_ctx
                 left, right = goal.args
-                types = columns(*gen_equation_columns(ctx, self.sig, left, right, self.fresh))
+                lhs: list = []
+                rhs: list = []
+                sides = [self.arg_type(ctx, arg, got, lhs, rhs) for arg, got in zip(goal.args, closed)]
+                types = columns([*lhs, sides[0]], [*rhs, sides[1]])
                 result = solve_columns(types, columns([left], [right])).result
                 verdict = _VERDICT[type(result)]
             else:

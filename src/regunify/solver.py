@@ -437,15 +437,15 @@ class _Phase:
 
     def unifier(self) -> dict:
         """The unifier the constraints spell out once in solved form."""
-        bound, rules, var, memo = self.bound, self.rules, self.var, {}
+        bound, var, memo = self.bound, self.var, {}
         out = {}
         for cid in self._live():
+            # a left side needs no deref: a binder's names its own binding,
+            # redex derefs any other before it drops it as no redex, and a
+            # variable that occurs once is bound by nothing later
             lhs, rhs = self.lhs[cid], self.rhs[cid]
-            if bound:
-                if rules[cid] != _BOUND and lhs.name in bound:
-                    lhs = deref(bound, lhs, var)
-                if getattr(rhs, "args", None) or type(rhs) is var and rhs.name in bound:
-                    rhs = resolve_store(bound, rhs, memo, var, self.family.rebuild)
+            if bound and (getattr(rhs, "args", None) or type(rhs) is var and rhs.name in bound):
+                rhs = resolve_store(bound, rhs, memo, var, self.family.rebuild)
             assert type(lhs) is var, "constraints not in solved form"
             out[lhs.name] = rhs
         return out

@@ -40,37 +40,57 @@ class SourceSpan:
         return f"{self.source}:{self.line}:{self.column}"
 
 
-# The longest repr an application gives before it is cut (see _app_repr).
-_REPR_CAP = 10_000
+def write(node, parts, cap: int | None = None) -> str:
+    """The text of `node`, a term or a type, as `parts` spells it, written
+    with a stack of its own, so a node of any depth costs no Python stack.
+
+    `parts(node)` gives either the node's whole text, or a tuple of the
+    strings and nodes it is written as, in order; a tuple of nodes in that
+    tuple is written comma-separated.  Given a `cap`, the text is cut after
+    `cap` characters, and then ends in "...".
+    """
+    text = parts(node)
+    if type(text) is str:  # a leaf, the commonest node
+        return text
+    out: list[str] = []
+    size = 0
+    stack = list(text[::-1])
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is not str:
+            if kind is tuple:  # nodes, written with ", " between them
+                seq = [", "] * (2 * len(item) - 1)
+                seq[::2] = item[::-1]
+                stack += seq
+                continue
+            item = parts(item)
+            if type(item) is not str:
+                stack += item[::-1]
+                continue
+        out.append(item)
+        if cap:
+            size += len(item)
+            if size > cap:
+                return "".join(out)[:cap] + "..."
+    return "".join(out)
+
+
+def _repr_parts(node):
+    """The dataclass repr's text of a node, an application as its parts."""
+    if type(node) not in _APPS:
+        return repr(node)  # a leaf, whose generated repr walks nothing
+    head = fields(node)[0].name
+    close = ",))" if len(node.args) == 1 else "))"
+    return f"{type(node).__name__}({head}={getattr(node, head)!r}, args=(", node.args, close
 
 
 def _app_repr(node) -> str:
-    """The text the dataclass repr gives an application, `node`, written
-    with a stack of its own and cut after _REPR_CAP characters, which then
-    end in "...": a subterm shared by several parents is written once per
+    """The text the dataclass repr gives an application, cut after 10 000
+    characters: a subterm shared by several parents is written once per
     path, so the text of a small node can be exponentially long.
     """
-    parts: list[str] = []
-    size = 0
-    stack: list = [node]
-    while stack and size <= _REPR_CAP:
-        item = stack.pop()
-        if type(item) is str:
-            text = item
-        elif type(item) in _APPS:
-            head = fields(item)[0].name
-            text = f"{type(item).__name__}({head}={getattr(item, head)!r}, args=("
-            stack.append(",))" if len(item.args) == 1 else "))")
-            for i, arg in enumerate(reversed(item.args)):
-                if i:
-                    stack.append(", ")
-                stack.append(arg)
-        else:  # a leaf, whose generated repr walks nothing
-            text = repr(item)
-        parts.append(text)
-        size += len(text)
-    text = "".join(parts)
-    return text if size <= _REPR_CAP else text[:_REPR_CAP] + "..."
+    return write(node, _repr_parts, 10_000)
 
 
 # --- terms -----------------------------------------------------------------
@@ -241,12 +261,6 @@ def is_ground(node) -> bool:
         stack.pop()
         object.__setattr__(top, "ground", all(map(_ground, top.args)))
     return node.ground
-
-INT = Base("int")
-FLOAT = Base("float")
-STRING = Base("string")
-ATOM = Base("atom")
-BOOL = Bool()
 
 
 def free_ctor_symbol(functor: str) -> str:

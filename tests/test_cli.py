@@ -470,6 +470,27 @@ def test_long_later_goal_answers(tmp_path, capsys):
     assert out.splitlines() == [f"yes {{X = 1, Y = [1, {ints}]}}", "types: {X : int, Y : list(int)}"]
 
 
+def test_nine_hundred_deep_answers_print(tmp_path, capsys):
+    # each side is 300 deep, which the parser reads; the answer, f^900(a)
+    # of type f°^900(atom), is printed without a Python frame per level
+    def f(n, inner):
+        return "f(" * n + inner + ")" * n
+
+    p = tmp_path / "p.pl"
+    p.write_text("p.\n")
+    binding, ty = f(900, "a"), "f°(" * 900 + "atom" + ")" * 900
+    unify = ["unify", "h(X1, X2, X3, X4)", f"h({f(300, 'X2')}, {f(300, 'X3')}, {f(300, 'X4')}, a)"]
+    run = ["run", str(p), "-q", f"?- X1 = {f(300, 'X2')}, X2 = {f(300, 'X3')}, X3 = {f(300, 'a')}."]
+    for argv in (unify, run):
+        code, out, err = cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert f"X1 = {binding}," in out and f"X1 : {ty}," in out
+        code, out, err = cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["bindings"]["X1"] == binding and doc["var_types"]["X1"] == ty
+
+
 def test_oversized_inputs_never_exit_false(capsys):
     # whatever such inputs do, exit 1 is kept for false and no traceback leaks
     long_list = "[" + ", ".join(str(i) for i in range(1500)) + "]"

@@ -1,13 +1,15 @@
 """Concrete syntax: parsing, printing, and the round-trip property."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regunify import (
     Base,
+    Bool,
     Clause,
     Compound,
+    CtorApp,
     Const,
     NIL,
     ParseError,
@@ -158,10 +160,34 @@ def test_separated_list_errors(parse, text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_term, "f(a, #)", "<term>:1:6: unexpected character '#'"),
+        (parse_query, "?- p, X.", "<query>:1:8: a goal cannot be a bare variable"),
+        (parse_query, '?- "s".', "<query>:1:7: a goal cannot be a literal"),
+        (parse_program, "p.\n'='(X, Y) :- p.", "<program>:2:11: the equality predicate cannot be redefined"),
+        (parse_type, "list(_)", "<type>:1:7: anonymous variables are not allowed in types"),
+        (parse_typedefs, "t --> a.\nint --> a.", "<types>:2:1: int is a reserved type name"),
+        (parse_signatures, "X : int.", "<signatures>:1:1: expected a symbol name"),
+        (
+            parse_signatures,
+            "p : int -> bool.\n'q' : atom * atom.",
+            "<signatures>:2:1: a constant declaration takes a single type",
+        ),
+    ],
+)
+def test_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("open_, close", [("f(", ")"), ("[", "]")])
 def test_deeply_nested_term_parses(open_, close):
-    # about as deep as `pp_term` prints; the term recursion of the parser
-    # must not grow by a frame per level
+    # 300 levels, below the parser's nesting limit of about 330 (printing
+    # has none); the term recursion of the parser must not grow by a frame
+    # per level
     t = parse_term(open_ * 300 + "a" + close * 300)
     for _ in range(300):
         assert isinstance(t, Compound)
@@ -220,3 +246,32 @@ def terms(draw, depth=3):
 @given(terms())
 def test_print_parse_roundtrip(t):
     assert parse_term(pp_term(t)) == t
+
+
+_TREE_DEFS = validate(parse_typedefs("tree(A) --> leaf(A) + node(tree(A), tree(A))."))
+# Constructor names that are no type symbol and no reserved type name, some
+# of them quoted in print; `[]` takes no arguments
+_ctor_names = st.sampled_from(["nil", "leaf", "node", "cons", "Quoted", "it's", "two words", "back\\slash"])
+
+types = st.recursive(
+    st.one_of(
+        st.builds(TVar, st.sampled_from(["A", "B", "Elem", "_T"])),
+        st.builds(Base, st.sampled_from(["int", "float", "string", "atom"])),
+        st.just(Bool()),
+        st.builds(CtorApp, st.one_of(st.just("[]"), _ctor_names)),
+        st.builds(SymApp, st.sampled_from(["list", "tree"])),
+    ),
+    lambda sub: st.one_of(
+        st.builds(
+            SymApp, st.sampled_from(["list", "tree"]), st.lists(sub, min_size=1, max_size=2).map(tuple)
+        ),
+        st.builds(CtorApp, _ctor_names, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(types)
+def test_type_print_parse_roundtrip(ty):
+    assert parse_type(pp_type(ty), _TREE_DEFS) == ty

@@ -286,6 +286,70 @@ def test_the_memo_replays_tries_in_many_fact_dense_programs():
     assert sum(replayed) >= len(replayed) // 10
 
 
+# --- `=` goals -----------------------------------------------------------------------
+
+# Sides with closed types (ground lists, f(...) of them), open ones ([] and
+# lists of []), none (a list of an int and an atom) and variables, against
+# one another, before, between and after clause goals.  Most sides are lists
+# of ints and variables, so that many equations hold or fail plainly rather
+# than on types.
+_INT_SIDES = st.recursive(
+    st.sampled_from([mk_int(0), mk_int(1), NIL, Var("X"), Var("Y"), Var("Z")]),
+    lambda sub: st.one_of(
+        st.builds(lambda a, b: Compound("cons", (a, b)), sub, sub),
+        st.builds(lambda items: mk_list(items), st.lists(sub, max_size=4)),
+    ),
+    max_leaves=6,
+)
+_SIDES = st.one_of(_INT_SIDES, _INT_SIDES, _TERMS)
+_EQUATIONS = st.builds(lambda a, b: Compound("=", (a, b)), _SIDES, _SIDES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_programs(),
+    keep=st.booleans(),
+    equations=st.lists(_EQUATIONS, min_size=1, max_size=4),
+    where=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    overrides=st.sampled_from(_OVERRIDES),
+    max_steps=st.one_of(st.integers(1, 80), st.just(80)),
+)
+def test_equations_type_their_sides_as_the_reference_does(case, keep, equations, where, overrides, max_steps):
+    program, query = case
+    query = list(query) if keep else []
+    for equation, at in zip(equations, where):
+        query.insert(min(at, len(query)), equation)
+    agree(program, query, overrides, DEFS, max_steps, 8)
+
+
+def test_a_ground_side_of_an_equation_is_not_walked(monkeypatch):
+    # a side with a closed type adds its type, as a clause try's argument
+    # does; only a side without one is typed by the walk
+    walked = []
+    walk = resolution.gen_columns
+
+    def gen_columns(ctx, sig, term, *rest):
+        walked.append(term)
+        return walk(ctx, sig, term, *rest)
+
+    monkeypatch.setattr(resolution, "gen_columns", gen_columns)
+    items = mk_list([mk_int(i) for i in range(50)])
+    for text, other, want in (
+        ("p(L).", mk_list([mk_int(i) for i in range(50)]), "yes"),
+        ("p(L).", mk_list([mk_int(7)]), "no_false"),
+        ("p(L).", mk_list([mk_atom("a")]), "no_wrong"),
+        ("p([a]).", items, "no_wrong"),
+    ):
+        query = (
+            Compound("=", (Var("X"), items)),
+            Compound("p", (Var("X"),)),
+            Compound("=", (Var("X"), other)),
+        )
+        walked.clear()
+        assert agree(parse_program(text), query)[0][0] == want
+        assert walked and all(t is not items and t is not other for t in walked)
+
+
 # --- the fast path is taken -----------------------------------------------------------
 
 
