@@ -137,8 +137,9 @@ class _Parser:
             raise ParseError(f"expected {what or kind}, found {shown!r}", tok.span)
         return self.advance()
 
-    def fail(self, message: str):
-        raise ParseError(message, self.peek().span)
+    def fail(self, message: str, tok: Token | None = None):
+        """Raise at `tok`, the offending term's first token, or else at the next token."""
+        raise ParseError(message, (tok or self.peek()).span)
 
     def end(self):
         """An optional closing dot, then the end of input."""
@@ -231,6 +232,7 @@ class _Parser:
     # -- goals, queries, clauses --
 
     def goal(self) -> Term:
+        start = self.peek()
         left = self.term()
         if self.at("EQ"):
             self.advance()
@@ -241,9 +243,9 @@ class _Parser:
             right = self.term()
             return Compound("is", (left, right))
         if isinstance(left, Var):
-            self.fail("a goal cannot be a bare variable")
+            self.fail("a goal cannot be a bare variable", start)
         if isinstance(left, Const) and left.kind != "atom":
-            self.fail("a goal cannot be a literal")
+            self.fail("a goal cannot be a literal", start)
         return left
 
     def goals(self) -> tuple[Term, ...]:
@@ -252,11 +254,12 @@ class _Parser:
     def clause(self):
         from .resolution import Clause
 
+        start = self.peek()
         head = self.term()
         if isinstance(head, Var) or (isinstance(head, Const) and head.kind != "atom"):
-            self.fail("a clause head must be an atom or compound")
+            self.fail("a clause head must be an atom or compound", start)
         if isinstance(head, Compound) and head.functor == "=":
-            self.fail("the equality predicate cannot be redefined")
+            self.fail("the equality predicate cannot be redefined", start)
         body: tuple[Term, ...] = ()
         if self.at("NECK"):
             self.advance()
@@ -273,7 +276,7 @@ class _Parser:
         if tok.kind == "VAR":
             self.advance()
             if tok.value == "_":
-                self.fail("anonymous variables are not allowed in types")
+                self.fail("anonymous variables are not allowed in types", tok)
             return TVar(tok.value)
         if tok.kind in ("ATOM", "QATOM"):
             self.advance()

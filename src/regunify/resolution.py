@@ -14,6 +14,14 @@ Search stops at the first success.  Failing searches distinguish why:
     NoUnknown   anything weaker: a false with goals still pending, or an
                 exhausted budget
 
+Every try is noted, as a row: a `(depth, goal, against, verdict, final,
+via)` tuple, which costs a fraction of a frozen dataclass.  The report
+builds its `BranchNote`s from the rows when `branches` is first read, so a
+search that no one traces builds none.  Nor is the verdict of a failed
+search read off the notes: as it notes, the search records whether a try
+was wrong and which `final` values its false notes had, and the verdict
+comes from those two records.
+
 The type context a derivation carries maps each variable to its type under
 the type substitution so far.  It holds the query's variables, whose types
 the answer reports, and the variables no step has bound yet, which are the
@@ -85,7 +93,7 @@ matching clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -177,11 +185,37 @@ class BranchNote:
     via: str = "clause"  # "clause" | "equality" | "no_clauses"
 
 
-@dataclass
 class ResolveReport:
-    outcome: Outcome
-    steps: int = 0
-    branches: list[BranchNote] = field(default_factory=list)
+    """A search's outcome, the number of unification steps it attempted and
+    one note per attempt, in the order made.
+
+    The search records each note as a row, a `(depth, goal, against,
+    verdict, final, via)` tuple, and `branches` builds the notes from the
+    rows on its first read and returns that same list on every later read,
+    so read it once the search is done.  Equality and repr are a
+    dataclass's over `outcome`, `steps` and `branches`, and a report is
+    unhashable, as a mutable dataclass is.
+    """
+
+    def __init__(self, outcome: Outcome, steps: int = 0, branches: Optional[list[BranchNote]] = None):
+        self.outcome = outcome
+        self.steps = steps
+        self._rows: list[tuple] = []
+        self._notes = branches
+
+    @property
+    def branches(self) -> list[BranchNote]:
+        if self._notes is None:
+            self._notes = [BranchNote(*row) for row in self._rows]
+        return self._notes
+
+    def __eq__(self, other):
+        if type(other) is not ResolveReport:
+            return NotImplemented
+        return (self.outcome, self.steps, self.branches) == (other.outcome, other.steps, other.branches)
+
+    def __repr__(self) -> str:
+        return f"ResolveReport(outcome={self.outcome!r}, steps={self.steps!r}, branches={self.branches!r})"
 
 
 def rename_clause(clause: Clause, fresh: FreshSupply) -> Clause:
@@ -256,6 +290,10 @@ class _Search:
         self.fresh = FreshSupply()
         self.report = ResolveReport(outcome=NoUnknown())
         self.budget_exceeded = False
+        # what the outcome rule reads of the notes: whether one was wrong,
+        # and the `final` values of the false ones
+        self.wrong = False
+        self.false_finals: set[bool] = set()
         # the memo of type phases: goal key -> clause key -> entry (see unify)
         self.memo: dict[tuple, dict] = {}
         self.clauses: dict = {}  # id of a clause -> its key and its head's closed types
@@ -359,7 +397,7 @@ class _Search:
         after each solve; the query's variables `query` keep their types in
         every state's context.
         """
-        notes = self.report.branches
+        rows = self.report._rows
         goal, rest = goals[0], goals[1:]
         final = not rest
         if isinstance(goal, Compound) and goal.functor == "=" and goal.arity == 2:
@@ -370,7 +408,8 @@ class _Search:
             clauses = self.index.get(key)
             if not clauses:
                 # no candidate clauses at all: the branch fails plainly
-                notes.append(BranchNote(depth, goal, None, "false", final, "no_clauses"))
+                rows.append((depth, goal, None, "false", final, "no_clauses"))
+                self.false_finals.add(final)
                 return
         # the goal's variables keep the types the derivation gave them; one
         # not met before gets its generic type
@@ -403,8 +442,12 @@ class _Search:
                     head_ctx = {name: FreshSupply.tvar_for(name) for name in _head_names(clause, drawn)}
                     ctx = goal_ctx | head_ctx
                     verdict, result = self.unify(ctx, goal, closed, renamed.head, head_ctx, clause, memo)
-            notes.append(BranchNote(depth, goal, against, verdict, final, via))
-            if verdict == "solved":
+            rows.append((depth, goal, against, verdict, final, via))
+            if verdict == "false":
+                self.false_finals.add(final)
+            elif verdict == "wrong":
+                self.wrong = True
+            else:
                 subst, mu = result.subst, result.type_subst
                 yield (
                     tuple(apply_subst(subst, g) for g in (*body, *rest)),
@@ -578,15 +621,14 @@ def resolve(
     query = tuple(query)
     query_vars = dict.fromkeys(name for g in query for name in free_vars(g))
     found = search.run(query, query_vars)
-    notes = search.report.branches
     if found is not None:
         bindings, var_types = found
         search.report.outcome = Yes(
             bindings, {name: var_types[name] for name in query_vars if name in var_types}
         )
-    elif any(n.verdict == "wrong" for n in notes):
+    elif search.wrong:
         search.report.outcome = NoWrong()
-    elif search.budget_exceeded or {n.final for n in notes if n.verdict == "false"} != {True}:
+    elif search.budget_exceeded or search.false_finals != {True}:
         # a false with goals still pending, or no branch ran out of goals false
         search.report.outcome = NoUnknown(budget_exceeded=search.budget_exceeded)
     else:

@@ -126,7 +126,6 @@ GENERATED_WALKS = {
     "constraints.TypeConstraint",
     "resolution.BranchNote",
     "resolution.Clause",
-    "resolution.ResolveReport",
     "resolution.Yes",
     "solver.PrincipalTyping",
     "solver.SolveFalse",

@@ -164,10 +164,11 @@ def test_separated_list_errors(parse, text, message):
     "parse, text, message",
     [
         (parse_term, "f(a, #)", "<term>:1:6: unexpected character '#'"),
-        (parse_query, "?- p, X.", "<query>:1:8: a goal cannot be a bare variable"),
-        (parse_query, '?- "s".', "<query>:1:7: a goal cannot be a literal"),
-        (parse_program, "p.\n'='(X, Y) :- p.", "<program>:2:11: the equality predicate cannot be redefined"),
-        (parse_type, "list(_)", "<type>:1:7: anonymous variables are not allowed in types"),
+        (parse_query, "?- p, X.", "<query>:1:7: a goal cannot be a bare variable"),
+        (parse_query, '?- "s".', "<query>:1:4: a goal cannot be a literal"),
+        (parse_program, "p.\n'='(X, Y) :- p.", "<program>:2:1: the equality predicate cannot be redefined"),
+        (parse_program, "X :- p.", "<program>:1:1: a clause head must be an atom or compound"),
+        (parse_type, "list(_)", "<type>:1:6: anonymous variables are not allowed in types"),
         (parse_typedefs, "t --> a.\nint --> a.", "<types>:2:1: int is a reserved type name"),
         (parse_signatures, "X : int.", "<signatures>:1:1: expected a symbol name"),
         (

@@ -1,4 +1,8 @@
-"""Typed resolution: branch verdicts, aggregation, budgets, renaming."""
+"""Typed resolution: branch verdicts, aggregation, budgets, renaming, the report."""
+
+import dataclasses
+
+import pytest
 
 from regunify import (
     Base,
@@ -8,6 +12,7 @@ from regunify import (
     NoUnknown,
     NoWrong,
     ResolutionBudget,
+    ResolveReport,
     SymApp,
     TVar,
     Var,
@@ -212,3 +217,43 @@ def test_steps_counted():
     assert report.steps == 1
     report = run(LENGTH_SRC, "?- length(3, [a, b, c]).", overrides=LENGTH_SIG)
     assert report.steps == 2
+
+
+# --- the report ----------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class _DataclassReport:
+    """The report as a dataclass of its three values, whose equality and
+    repr `ResolveReport` keeps."""
+
+    outcome: object
+    steps: int
+    branches: list
+
+
+def test_branches_are_one_list_built_from_the_rows():
+    report = run("p(0). p(1).", "?- p(1), q.")
+    notes = report.branches
+    assert report.branches is notes
+    assert [(n.depth, n.verdict, n.final, n.via) for n in notes] == [
+        (0, "false", False, "clause"),
+        (0, "solved", False, "clause"),
+        (1, "false", True, "no_clauses"),
+    ]
+    assert ResolveReport(NoFalse()).branches == []
+
+
+def test_report_compares_and_prints_as_a_dataclass():
+    report = run("p(0). p(1).", "?- p(1), q.")
+    dataclass_report = _DataclassReport(report.outcome, report.steps, report.branches)
+    assert repr(report) == repr(dataclass_report).replace("_DataclassReport", "ResolveReport", 1)
+    assert report == run("p(0). p(1).", "?- p(1), q.")
+    assert report == ResolveReport(report.outcome, report.steps, list(report.branches))
+    assert report != ResolveReport(report.outcome, report.steps + 1, report.branches)
+    assert report != ResolveReport(report.outcome, report.steps, report.branches[:-1])
+    assert report.outcome == NoUnknown()
+    assert report != ResolveReport(NoFalse(), report.steps, report.branches)
+    assert report != dataclass_report  # another class compares unequal
+    with pytest.raises(TypeError):
+        hash(report)

@@ -25,6 +25,7 @@ from regunify import (
     TypeConstraint,
     Var,
     Yes,
+    free_vars,
     generic_context,
     mk_atom,
     mk_int,
@@ -36,7 +37,7 @@ from regunify import (
     validate,
 )
 
-from regunify.resolution import _Search
+from regunify.resolution import BranchNote, _Search
 
 from reference_resolution import _Search as _ReferenceSearch
 from reference_resolution import reference_resolve
@@ -211,6 +212,85 @@ def test_matches_reference_on_random_programs():
 
     check()
     assert seen >= {"yes", "no_false", "no_wrong", "no_unknown:True", "no_unknown:False"}
+
+
+# --- the outcome rule and the notes ------------------------------------------------------
+
+
+def _outcome_by_the_notes(notes, budget_exceeded):
+    """A failed search's outcome by the rule read off every note: wrong if
+    any note is; else unknown on an exhausted budget, or unless there is a
+    false note and every false note is final; else false.
+    """
+    if any(n.verdict == "wrong" for n in notes):
+        return NoWrong()
+    if budget_exceeded or {n.final for n in notes if n.verdict == "false"} != {True}:
+        return NoUnknown(budget_exceeded=budget_exceeded)
+    return NoFalse()
+
+
+def assert_rule_holds(program, query, overrides=None, max_steps=10_000, max_depth=200):
+    """`resolve` reads its outcome off the two records the search keeps as
+    it notes; hold that outcome to the rule over the notes, the budget flag
+    read from a search of its own.  Every note is a `BranchNote`, the
+    reference's note, and `branches` is one list on every read.  Returns
+    the outcome, or None if both engines raise.
+    """
+    query = tuple(query)
+    budget = ResolutionBudget(max_steps=max_steps, max_depth=max_depth)
+    try:
+        report = resolve(program, query, DEFS, overrides, budget)
+    except Exception as e:
+        with pytest.raises(type(e)):
+            reference_resolve(program, query, DEFS, overrides, max_steps, max_depth)
+        return None
+    notes = report.branches
+    assert report.branches is notes
+    want = reference_resolve(program, query, DEFS, overrides, max_steps, max_depth)[2]
+    assert all(type(n) is BranchNote for n in notes)
+    assert notes == [BranchNote(*note) for note in want]
+    search = _Search(program, DEFS, overrides, budget)
+    found = search.run(query, dict.fromkeys(name for g in query for name in free_vars(g)))
+    assert (found is None) == (not isinstance(report.outcome, Yes))
+    if found is None:
+        assert report.outcome == _outcome_by_the_notes(notes, search.budget_exceeded)
+    return report.outcome
+
+
+@pytest.mark.parametrize(
+    "program, query, max_steps, outcome",
+    [
+        # a goal without clauses, with goals pending and with none
+        ("p(0).", "?- q, p(0).", 10_000, NoUnknown(budget_exceeded=False)),
+        ("p(0).", "?- p(0), q.", 10_000, NoFalse()),
+        ("p(0).", "?- q.", 10_000, NoFalse()),
+        # a wrong before the budget runs out, and one without a budget
+        ("p(0). p(1).", "?- p(a).", 1, NoWrong()),
+        ("p(0). p(1).", "?- p(1), p(a).", 2, NoUnknown(budget_exceeded=True)),
+        # no step at all, so no note
+        ("p(0).", "?- p(0).", 0, NoUnknown(budget_exceeded=True)),
+    ],
+)
+def test_outcome_rule_corners(program, query, max_steps, outcome):
+    assert assert_rule_holds(parse_program(program), parse_query(query), max_steps=max_steps) == outcome
+
+
+def test_outcome_rule_on_random_programs():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        program=st.lists(_CLAUSES, max_size=6),
+        query=st.lists(_GOALS, min_size=1, max_size=2),
+        overrides=st.sampled_from([None, OVERRIDES]),
+        max_steps=st.integers(0, 40),
+        max_depth=st.integers(1, 8),
+    )
+    def check(program, query, overrides, max_steps, max_depth):
+        seen.add(type(assert_rule_holds(program, query, overrides, max_steps, max_depth)))
+
+    check()
+    assert seen >= {Yes, NoFalse, NoWrong, NoUnknown}
 
 
 # --- the constraint state of one clause try ---------------------------------------------
