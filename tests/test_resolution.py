@@ -246,13 +246,13 @@ def test_branches_are_one_list_built_from_the_rows():
 
 def test_report_compares_and_prints_as_a_dataclass():
     report = run("p(0). p(1).", "?- p(1), q.")
+    assert report.outcome == NoUnknown()
     dataclass_report = _DataclassReport(report.outcome, report.steps, report.branches)
     assert repr(report) == repr(dataclass_report).replace("_DataclassReport", "ResolveReport", 1)
     assert report == run("p(0). p(1).", "?- p(1), q.")
     assert report == ResolveReport(report.outcome, report.steps, list(report.branches))
     assert report != ResolveReport(report.outcome, report.steps + 1, report.branches)
     assert report != ResolveReport(report.outcome, report.steps, report.branches[:-1])
-    assert report.outcome == NoUnknown()
     assert report != ResolveReport(NoFalse(), report.steps, report.branches)
     assert report != dataclass_report  # another class compares unequal
     with pytest.raises(TypeError):

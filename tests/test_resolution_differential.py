@@ -264,7 +264,7 @@ def assert_rule_holds(program, query, overrides=None, max_steps=10_000, max_dept
         ("p(0).", "?- q, p(0).", 10_000, NoUnknown(budget_exceeded=False)),
         ("p(0).", "?- p(0), q.", 10_000, NoFalse()),
         ("p(0).", "?- q.", 10_000, NoFalse()),
-        # a wrong before the budget runs out, and one without a budget
+        # a wrong, then the budget runs out; the budget runs out before a wrong
         ("p(0). p(1).", "?- p(a).", 1, NoWrong()),
         ("p(0). p(1).", "?- p(1), p(a).", 2, NoUnknown(budget_exceeded=True)),
         # no step at all, so no note
