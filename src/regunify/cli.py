@@ -2,7 +2,8 @@
 
 Every subcommand prints a human-readable report by default and, with
 `--json`, a structured document describing the same result field by field
-(`schema_version` 1).  Exit codes are a function of the outcome alone:
+(`schema_version` 1).  Exit codes are a function of the outcome alone, even
+when the reader of stdout has gone away:
 
     0   solved / yes / judgment holds / oracle agrees
     1   false / no(false) / judgment fails
@@ -554,12 +555,20 @@ def main(argv=None) -> int:
     except Exception as e:  # last resort, so that exit 1 only ever means false
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    if getattr(args, "json", False):
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.cmd, **doc}
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if getattr(args, "json", False):
+            doc = {"schema_version": SCHEMA_VERSION, "command": args.cmd, **doc}
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: the outcome's code still stands,
+        # and stdout now writes to devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -3,12 +3,14 @@
 Terms use Prolog-like notation:
 
     variables   X, Rest, _ (each _ is a distinct variable)
-    constants   42, -3, 1.5, "text", atom, 'quoted atom', []
-    compounds   f(X, g(1)), X + 1, [1, 2 | T]
+    constants   42, -3, 1.5, 1e+20, "text", atom, 'quoted atom', []
+    compounds   f(X, g(1)), X + 1, [1, 2 | T], [](1)
 
 [a, b | T] is sugar for cons(a, cons(b, T)); the functor '.'/2 is accepted as
-an alias for cons on input.  `=` and `is` are goal-level infix operators; an
-`=` nested inside a term argument is a parse error.
+an alias for cons on input.  Each _ is named _#n, counting on from the
+largest _#n the input spells, so it is distinct from those too.  `=` and
+`is` are goal-level infix operators; an `=` nested inside a term argument
+is a parse error.
 
 Type definitions:       tsym(A, B) --> ctor1 + ctor2(A, list(B)).
 Signature declarations: length : list(A) * int -> bool.
@@ -52,7 +54,7 @@ _TOKEN_TABLE = [
     ("ARROW", r"->"),
     ("NECK", r":-"),
     ("QNECK", r"\?-"),
-    ("FLOAT", r"-?\d+\.\d+(?:[eE][+-]?\d+)?"),
+    ("FLOAT", r"-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+"),
     ("INT", r"-?\d+"),
     ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
     ("QATOM", r"'(?:[^'\\\n]|\\.)*'"),
@@ -114,7 +116,9 @@ class _Parser:
     def __init__(self, text: str, source: str):
         self.tokens = tokenize(text, source)
         self.pos = 0
-        self.anon_count = 0
+        self.anon_count = max(
+            (int(t.value[2:]) for t in self.tokens if t.value.startswith("_#")), default=0
+        )
 
     # -- token plumbing --
 
@@ -217,7 +221,7 @@ class _Parser:
         self.expect("LBRACK")
         if self.at("RBRACK"):
             self.advance()
-            return NIL
+            return Compound("[]", self.paren_args(self.term)) if self.at("LPAREN") else NIL
         items = [self.term()]
         while self.at("COMMA"):
             self.advance()
@@ -286,7 +290,8 @@ class _Parser:
         if tok.kind == "LBRACK":
             self.advance()
             self.expect("RBRACK")
-            return "[]", (), tok.span
+            args = self.paren_args(self.raw_type) if self.at("LPAREN") else ()
+            return "[]", args, tok.span
         self.fail(
             f"expected a type, found {tok.value!r}" if tok.value else "unexpected end of input"
         )

@@ -199,7 +199,12 @@ class _Phase:
     sees.  So a binding costs the constraints whose rule it can change, not
     every constraint that holds v.  A constraint object is built through the
     store (`syntax.resolve_store`) only when a trace, a witness or the
-    caller asks for it.
+    caller asks for it, and one rule keeps it, traced or not: it serves
+    until the next binding, or until orient or decompose rewrites its
+    sides.  Rebuilt after a binding, it is kept when the store leaves both
+    of its sides as they were, so a traced step that binds nothing builds
+    only what it rewrote, and one that binds rebuilds the live constraints,
+    as building the state it shows costs anyway.
 
     A phase starts from columns, one entry per constraint in order: the left
     sides, the right sides, the local rules (None: read off here) and the
@@ -257,19 +262,15 @@ class _Phase:
     the terms it passes from step to step (goal arguments, substituted
     goals).  So a step that passes on a large ground side, as each step of
     `app` passes on the rest of its list, costs what its variables cost.
-    With a trace, the object made for each constraint
-    is kept until a binding reaches it, through an index from each variable
-    to the constraints that may hold it; without one, there is no index,
-    and the objects are kept until the first binding.
     """
 
-    def __init__(self, columns: tuple, family: _Family, trace: bool = False):
+    def __init__(self, columns: tuple, family: _Family):
         self.family = family
         self.var = family.var
         # The columns, by cid: each side as written; the local rule the
-        # constraint matches, 0 once deleted; its object, None
-        # until made and, without a trace, kept only until the first binding.
+        # constraint matches, 0 once deleted; its object, None until made.
         self.lhs, self.rhs, rules, self.made = columns
+        self.built: dict[int, int] = {}  # cid -> bindings made before its object, or 0
         n = len(self.lhs)
         keys = self.keys = _KEYS[:n]  # cid -> order key
         if n > len(_KEYS):
@@ -284,8 +285,6 @@ class _Phase:
         self.tops: Optional[dict[str, list]] = None  # variable -> cids, each maybe stale
         self.inside: Optional[dict[str, int]] = None  # counts of the redex's binding
         self.below: dict[str, dict] = {}  # bound variable -> counts of its binding
-        # traced only: variable -> cids, each maybe stale
-        self.index: Optional[dict[str, list]] = {} if trace else None
         self.fresh = n
 
     # --- the store -------------------------------------------------------------
@@ -369,60 +368,40 @@ class _Phase:
 
     def constraint(self, cid: int, memo: Optional[dict] = None):
         """Constraint `cid` as an object, with the sides it stands for.  A
-        binder's left side is its own variable, which the store binds.  An
-        object made before is reused while it still holds: with a trace,
-        until a binding reaches it; without one, until the first binding.
+        binder's left side is its own variable, which the store binds.  The
+        object made before is returned while no binding has been made since,
+        and kept on a rebuild that gives the very sides it holds.
         """
-        made = self.made
-        if made[cid] is not None and (self.index is not None or not self.bound):
-            return made[cid]
-        lhs, rhs, bound = self.lhs[cid], self.rhs[cid], self.bound
+        old, bound = self.made[cid], self.bound
+        if old is not None and self.built.get(cid, 0) == len(bound):
+            return old
+        lhs, rhs = self.lhs[cid], self.rhs[cid]
         if bound:
             memo = {} if memo is None else memo
             var, rebuild = self.var, self.family.rebuild
             if self.rules[cid] != _BOUND:
                 lhs = resolve_store(bound, lhs, memo, var, rebuild)
             rhs = resolve_store(bound, rhs, memo, var, rebuild)
-        c = made[cid] = self.family.constraint(lhs, rhs)
-        return c
+        self.built[cid] = len(bound)
+        if old is None or old.lhs is not lhs or old.rhs is not rhs:
+            old = self.made[cid] = self.family.constraint(lhs, rhs)
+        return old
 
     def _census(self) -> None:
         """Count the variables of the live constraints and list their tops.
-        With a trace, also index each constraint under the variables its
-        count finds.  The store is still empty, and each constraint is
-        walked once, up to the nodes known to be ground.
+        The store is still empty, and each constraint is walked once, up to
+        the nodes known to be ground.
         """
         rules, var = self.rules, self.var
-        tops, live, sides = {}, [], []
+        tops, sides = {}, []
         for cid, rule, lhs, rhs in zip(range(len(rules)), rules, self.lhs, self.rhs):
             if rule:  # u = t with u a variable, as every live constraint now
-                live.append(cid)
                 sides += (lhs, rhs)
                 tops.setdefault(lhs.name, []).append(cid)
                 if type(rhs) is var:
                     tops.setdefault(rhs.name, []).append(cid)
         self.tops = tops
-        if self.index is None:
-            self.counts = var_counts(sides)
-            return
-        counts = self.counts = {}
-        for cid in live:
-            for name, n in self._index(cid).items():
-                counts[name] = counts.get(name, 0) + n
-
-    def _index(self, cid: int) -> dict[str, int]:
-        """Enter `cid` under each variable its constraint stands for, and
-        return how often each occurs in it.
-        """
-        found = self._counts_under((self.lhs[cid], self.rhs[cid]))
-        for name in found:
-            self.index.setdefault(name, []).append(cid)
-        return found
-
-    def _holders(self, name: str, binder: int) -> set:
-        """Live constraints other than `binder` that may contain `name`."""
-        rules = self.rules
-        return {cid for cid in self.index.get(name, ()) if rules[cid] and cid != binder}
+        self.counts = var_counts(sides)
 
     def _live(self) -> list:
         """The cids of the live constraints in sequence order."""
@@ -432,8 +411,8 @@ class _Phase:
 
     def ordered(self) -> tuple:
         """The live constraints in sequence order."""
-        made, make, memo = self.made, self.constraint, {}
-        return tuple([made[cid] or make(cid, memo) for cid in self._live()])
+        make, memo = self.constraint, {}
+        return tuple([make(cid, memo) for cid in self._live()])
 
     def unifier(self) -> dict:
         """The unifier the constraints spell out once in solved form."""
@@ -487,36 +466,22 @@ class _Phase:
     def fire(self, rule: int, cid: int) -> None:
         """Apply decompose, delete, orient or eliminate to constraint `cid`,
         consuming the heap entry redex() left at the top before queueing
-        anything else.  With a trace, what orient and decompose make is
-        built from the object of `cid`, whose sides already stand for what
-        they denote.
+        anything else.  Orient and decompose drop the object of `cid`, whose
+        sides they rewrite.
         """
-        lhs, rhs, made = self.lhs[cid], self.rhs[cid], self.made
+        lhs, rhs = self.lhs[cid], self.rhs[cid]
         if rule == _ORIENT:
-            if self.index is None:
-                made[cid] = None
-            else:
-                old = self.constraint(cid)
-                made[cid] = self.family.constraint(old.rhs, old.lhs)
+            self.made[cid] = None
             self._queue(cid, rhs, lhs, heapreplace)
         elif rule == _DECOMPOSE:
-            old = None if self.index is None else self.constraint(cid)
             key = self.keys[cid]
             *firsts, last = zip(lhs.args, rhs.args)
             # the last arguments' equation takes over the redex's cid and key
             self._queue(cid, *last, heapreplace)
-            made[cid] = None
-            children = []
+            self.made[cid] = None
             for a, b in firsts:
-                children.append(self._add(a, b, key[:-1] + (self.fresh, _LAST)))
+                self._add(a, b, key[:-1] + (self.fresh, _LAST))
                 self.fresh += 1
-            if old is None:
-                return
-            for child, a, b in zip(children + [cid], old.lhs.args, old.rhs.args):
-                made[child] = self.family.constraint(a, b)
-            if self.counts is not None:  # else the census indexes them
-                for child in children:
-                    self._index(child)
         else:
             heap = self.heap
             entry = heappop(heap)
@@ -540,13 +505,6 @@ class _Phase:
         counts[name] = 1
         for var, n in inside.items():
             counts[var] += replaced * n
-        if self.index is not None:
-            holders = self._holders(name, binder)
-            for cid in holders:
-                self.made[cid] = None
-            self.index[name] = [binder]
-            for var in inside:
-                self.index.setdefault(var, []).extend(holders)
         tops, bound, var = self.tops, self.bound, self.var
         moved = tops.pop(name, [])
         if type(value) is not var:
@@ -656,7 +614,11 @@ def solve_columns(
     clause try does, or no term constraints, as `principal_typing` does,
     pays for one phase only.  The unifiers, the witness and each traced
     state are built from the store with one memo per state, so a subterm
-    that many bindings share is one object in all of them.
+    that many bindings share is one object in all of them.  Only this loop
+    reads `trace`: the phases keep their constraint objects by one rule
+    either way (see _Phase), so a traced step that binds nothing builds
+    only the constraints it rewrote, and one that binds reads every live
+    constraint again through the store.
     """
     # The default budget needs the size of the whole state.  Every constraint
     # has at least two nodes, so until the steps pass the bound that gives,
@@ -673,7 +635,7 @@ def solve_columns(
         for cid, (lhs, rhs, c) in enumerate(zip(terms[0], terms[1], made)):
             made[cid] = c or TermConstraint(lhs, rhs)
         given = tuple(made)
-    type_phase = _Phase(types, _TYPES, trace) if types[0] else None
+    type_phase = _Phase(types, _TYPES) if types[0] else None
     term_phase = None  # set up once the type rules reach their fixpoint
     phase, family = type_phase, _TYPES
     steps = 0
@@ -684,7 +646,7 @@ def solve_columns(
             if family is _TERMS:
                 break
             family = _TERMS
-            phase = term_phase = _Phase(terms, _TERMS, trace) if terms[0] else None
+            phase = term_phase = _Phase(terms, _TERMS) if terms[0] else None
             continue
         steps += 1
         if steps > max_steps and not exact:

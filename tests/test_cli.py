@@ -2,10 +2,13 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from regunify.cli import _human_run, _human_unify, main
 
@@ -605,6 +608,52 @@ def test_negative_max_steps_is_a_usage_error(tmp_path, capsys):
         assert cli(capsys, *cmd, "--max-steps", "-5") == (
             64, "", "usage error: argument --max-steps: must be at least 0, got -5\n"
         )
+
+
+def _with_stdout_closed(*argv):
+    """Exit code and stderr of `python -m regunify` run from the repository
+    root with the reading end of its stdout closed before it writes.
+    """
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "regunify", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["unify", "X", "1"], 0),
+        (["unify", "X", "1", "--json"], 0),
+        (["unify", "cons(1, X)", "cons(Y, 2)"], 2),
+        (["unify", "cons(1, X)", "cons(Y, 2)", "--json"], 2),
+        (["run", "tests/data/run/app.pl", "-q", "?- app(X, Y, [1])."], 0),
+        (["run", "tests/data/run/app.pl", "-q", "?- app(1, X, Y).", "--json"], 2),
+    ],
+)
+def test_a_closed_stdout_keeps_the_outcomes_exit_code(argv, code):
+    got, err = _with_stdout_closed(*argv)
+    assert got == code
+    assert "Traceback" not in err
+
+
+def test_anonymous_variables_stay_apart_from_spelled_ones(tmp_path, capsys):
+    code, out, _ = cli(capsys, "unify", "f(_, _#1)", "f(1, a)")
+    assert code == 0
+    assert out.splitlines()[:2] == ["solved", "bindings: {_#1 = a, _#2 = 1}"]
+    p = tmp_path / "p.pl"
+    p.write_text("p(1, a).\n")
+    code, out, _ = cli(capsys, "run", str(p), "-q", "?- p(_, _#1).")
+    assert (code, out.splitlines()[0]) == (0, "yes {_#1 = a, _#2 = 1}")
 
 
 def test_module_entry_point():

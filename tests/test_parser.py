@@ -75,6 +75,32 @@ def test_anonymous_vars_distinct():
     assert a.name != b.name
 
 
+def test_anonymous_vars_count_past_spelled_ones():
+    # an anonymous variable never takes the name of a spelled _#n
+    assert parse_term("f(_, _#1)") == Compound("f", (Var("_#2"), Var("_#1")))
+    assert parse_query("?- p(_#3, _), q(_).") == (
+        Compound("p", (Var("_#3"), Var("_#4"))),
+        Compound("q", (Var("_#5"),)),
+    )
+    # input that spells no _#n keeps its names
+    assert parse_term("f(_, _#0, _)") == Compound("f", (Var("_#1"), Var("_#0"), Var("_#2")))
+    assert parse_term("g(_, \"_#9\", '_#8', _)") == Compound(
+        "g", (Var("_#1"), mk_string("_#9"), mk_atom("_#8"), Var("_#2"))
+    )
+
+
+def test_printed_floats_and_empty_list_applications_parse():
+    # the forms the printers give for these values, which parse back
+    for value, text in ((1.0e20, "1e+20"), (0.00001, "1e-05"), (-2.5e-300, "-2.5e-300")):
+        assert pp_term(mk_float(value)) == text
+        assert parse_term(text) == mk_float(value)
+    assert parse_term("-3E7") == mk_float(-3e7)
+    assert parse_term("[](1)") == Compound("[]", (mk_int(1),))
+    assert parse_term("[]([], [](X))") == Compound("[]", (NIL, Compound("[]", (Var("X"),))))
+    assert parse_type("[](int)") == CtorApp("[]", (Base("int"),))
+    assert parse_type("list([](A, []))") == SymApp("list", (CtorApp("[]", (TVar("A"), CtorApp("[]", ()))),))
+
+
 def test_nested_equals_rejected():
     with pytest.raises(ParseError):
         parse_term("f(X = Y)")
@@ -235,12 +261,12 @@ def terms(draw, depth=3):
         if which == 1:
             return mk_int(draw(st.integers(-5, 5)))
         if which == 2:
-            return mk_float(draw(st.sampled_from([0.5, -1.25, 3.0])))
+            return mk_float(draw(st.floats(allow_nan=False, allow_infinity=False)))
         if which == 3:
             return mk_string(draw(st.sampled_from(["", "s", 'q"q', "a\\b"])))
         return mk_atom(draw(_atoms))
-    functor = draw(st.sampled_from(["f", "g", "cons", "+"]))
-    n = 1 if functor == "f" else 2
+    functor = draw(st.sampled_from(["f", "g", "cons", "+", "[]"]))
+    n = draw(st.integers(1, 2)) if functor == "[]" else 1 if functor == "f" else 2
     return Compound(functor, tuple(draw(terms(depth - 1)) for _ in range(n)))
 
 
@@ -250,16 +276,18 @@ def test_print_parse_roundtrip(t):
 
 
 _TREE_DEFS = validate(parse_typedefs("tree(A) --> leaf(A) + node(tree(A), tree(A))."))
-# Constructor names that are no type symbol and no reserved type name, some
-# of them quoted in print; `[]` takes no arguments
-_ctor_names = st.sampled_from(["nil", "leaf", "node", "cons", "Quoted", "it's", "two words", "back\\slash"])
+# Constructor names that are no type symbol and no reserved type name, `[]`
+# among them, some of them quoted in print
+_ctor_names = st.sampled_from(
+    ["[]", "nil", "leaf", "node", "cons", "Quoted", "it's", "two words", "back\\slash"]
+)
 
 types = st.recursive(
     st.one_of(
         st.builds(TVar, st.sampled_from(["A", "B", "Elem", "_T"])),
         st.builds(Base, st.sampled_from(["int", "float", "string", "atom"])),
         st.just(Bool()),
-        st.builds(CtorApp, st.one_of(st.just("[]"), _ctor_names)),
+        st.builds(CtorApp, _ctor_names),
         st.builds(SymApp, st.sampled_from(["list", "tree"])),
     ),
     lambda sub: st.one_of(

@@ -93,9 +93,9 @@ def _phases(monkeypatch):
     built = []
 
     class Counted(solver._Phase):
-        def __init__(self, columns, family, trace=False):
+        def __init__(self, columns, family):
             built.append(family)
-            super().__init__(columns, family, trace)
+            super().__init__(columns, family)
 
     monkeypatch.setattr(solver, "_Phase", Counted)
     return built

@@ -194,9 +194,9 @@ def test_an_empty_set_builds_no_phase(monkeypatch):
     built = []
 
     class Counted(solver._Phase):
-        def __init__(self, columns, family, trace=False):
+        def __init__(self, columns, family):
             built.append(family.offset)
-            super().__init__(columns, family, trace)
+            super().__init__(columns, family)
 
     monkeypatch.setattr(solver, "_Phase", Counted)
     one = [(Var("X"), mk_int(1))]
@@ -437,3 +437,86 @@ def test_steps_consume_their_redex_and_decompose_in_place(monkeypatch):
         assert_same(state)
         assert_same(state, trace=False)
     assert {(1, True), (2, False), (4, False), (5, False)} <= seen
+
+
+# --- the constraint objects a traced run reuses -------------------------------------------
+
+
+def test_a_traced_step_that_binds_nothing_rebuilds_only_what_it_rewrote(monkeypatch):
+    # X = [1 | Y] binds X, so X = [Z] reads as [1 | Y] = [Z]: its decompose
+    # binds nothing and makes Y = [] and 1 = Z, and the orient of 1 = Z binds
+    # nothing either.  The k solved W_i = i stay live all along, so a step
+    # that rebuilt every object would read 2k sides through the store.
+    k = 40
+    Z = Var("Z")
+    state = _terms(
+        *[(Var(f"W{i}"), mk_int(i)) for i in range(k)],
+        (X, mk_list([mk_int(1)], tail=Y)),
+        (X, mk_list([Z])),
+    )
+    count, per_step = [0], []
+    read, trace_step = solver.resolve_store, solver.TraceStep
+
+    def counted(*args):
+        count[0] += 1
+        return read(*args)
+
+    def step(rule, target, state):
+        per_step.append((rule, count[0], len(state.terms)))
+        return trace_step(rule, target, state)
+
+    monkeypatch.setattr(solver, "resolve_store", counted)
+    monkeypatch.setattr(solver, "TraceStep", step)
+    solve(state, trace=True)
+    monkeypatch.undo()
+    rules, reads, shown = zip(*per_step)
+    assert rules == (11, 7, 10, 11)
+    assert shown[1:3] == (k + 3, k + 3)
+    # decompose builds its two children and orient its redex, each from two
+    # sides; the live constraints were rebuilt after the binding before them
+    assert reads[1] - reads[0] <= 4 and reads[2] - reads[1] <= 2, reads
+    assert_same(state)
+
+
+def test_traced_and_untraced_runs_agree_when_a_binding_reaches_a_built_object():
+    # each state binds a variable that sits inside a side of a constraint
+    # whose object an earlier traced state built; the traced run must read
+    # that constraint again, and agree with the untraced run on the steps,
+    # the witness and both unifiers
+    Z, U = Var("Z"), Var("U")
+    states = [
+        # Y = g(X) is shown before X is bound; then it is Y = g(f(Y)), occurs
+        _terms((X, _f("f", Y)), (Y, _f("g", X))),
+        # U = h(X, Y) is shown as written, then with both inner bindings
+        _terms((U, _f("h", X, Y)), (X, _f("f", Y)), (Y, mk_int(1))),
+        # the binder U = f(X) is shown with f(Z), then f(1), as X and Z are
+        # bound; then Z = 2 reads as the clash 1 = 2
+        _terms((U, _f("f", X)), (U, _f("f", Z)), (X, mk_int(1)), (Z, mk_int(2))),
+        # a type binding inside pair(A, B) before a term clash
+        ConstraintState(
+            terms=(TermConstraint(_f("g", X, mk_int(1)), _f("g", mk_int(2), Y)),),
+            types=tuple(
+                TypeConstraint(a, b) for a, b in ((C, _pair(A, B)), (A, INT), (B, C))
+            ),
+        ),
+        # the type occurs check B = pair(pair(B, int), C) after A is bound
+        _types((A, _pair(B, INT)), (B, _pair(A, C))),
+    ]
+    states += [
+        equation_state(*shape(n, variant))
+        for shape, n in ((wide, 8), (deep, 6), (chain, 5))
+        for variant in ("solved", "false", "wrong")
+    ]
+    verdicts = set()
+    for state in states:
+        traced, plain = solve(state, trace=True), solve(state)
+        assert traced.steps == plain.steps == len(traced.trace) + (not isinstance(traced.result, Solved))
+        assert type(traced.result) is type(plain.result)
+        if isinstance(plain.result, Solved):
+            assert list(traced.result.subst.items()) == list(plain.result.subst.items())
+        else:
+            assert traced.result.witness == plain.result.witness
+        if not isinstance(plain.result, SolveWrong):
+            assert list(traced.result.type_subst.items()) == list(plain.result.type_subst.items())
+        verdicts.add(assert_same(state))
+    assert verdicts == {"solved", "false", "wrong"}
